@@ -5,13 +5,12 @@
 //! 1. How does corpus ingestion scale when the seed sweep is fanned
 //!    across 1/2/4/8 writer shards, each thread publishing through its
 //!    own write-ahead log (no shared directory, no lock)?
-//! 2. What does the borrowed-slice decode path ([`TraceImage`] /
-//!    [`TraceView`]) buy over the owned streaming reader when re-mining
-//!    a stored corpus?
+//! 2. What does re-mining a stored corpus cost through the zero-copy
+//!    decoder ([`TraceImage`] / [`TraceView`]), densified and replayed?
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sentomist_trace::{Recorder, Trace};
-use sentomist_tracestore::{read_trace_file, CorpusIndex, TraceImage, TraceReader, TraceStore};
+use sentomist_tracestore::{CorpusIndex, TraceImage, TraceStore};
 use std::path::PathBuf;
 use tinyvm::devices::NodeConfig;
 use tinyvm::node::Node;
@@ -87,9 +86,8 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Decode a stored corpus back to dense traces: the owned streaming
-/// reader (per-chunk buffer copies) versus the zero-copy image view
-/// (borrowed slices, in-place varint decode).
+/// Decode a stored corpus back to dense traces through the zero-copy
+/// image view (borrowed slices, in-place varint decode).
 fn bench_remine(c: &mut Criterion) {
     let root = scratch("remine");
     let store = TraceStore::create(&root).unwrap();
@@ -104,15 +102,6 @@ fn bench_remine(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("store_remine");
     group.throughput(Throughput::Elements(items));
-    group.bench_function("owned_reader", |b| {
-        b.iter(|| {
-            let mut digest = 0u64;
-            for f in &files {
-                digest ^= read_trace_file(f).unwrap().digest();
-            }
-            digest
-        })
-    });
     group.bench_function("zero_copy_view", |b| {
         b.iter(|| {
             let mut digest = 0u64;
@@ -125,19 +114,9 @@ fn bench_remine(c: &mut Criterion) {
     });
     group.finish();
 
-    // Streaming interval extraction: same comparison without ever
-    // densifying the trace — the replay path `trace mine` rides.
+    // Interval extraction without ever densifying the trace.
     let mut group = c.benchmark_group("store_replay");
     group.throughput(Throughput::Elements(items));
-    group.bench_function("owned_reader", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for f in &files {
-                n += TraceReader::open(f).unwrap().replay_online().unwrap().len();
-            }
-            n
-        })
-    });
     group.bench_function("zero_copy_view", |b| {
         b.iter(|| {
             let mut n = 0usize;

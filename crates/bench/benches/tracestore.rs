@@ -1,11 +1,10 @@
 //! Trace-store codec throughput: cost of encoding a lifecycle trace into
-//! the chunked `.stc` format, of decoding it back, and of streaming
-//! interval extraction straight off the encoded bytes — plus the headline
+//! the chunked `.stc` format and of decoding it back — plus the headline
 //! bytes-per-item and naive-encoding ratio figures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sentomist_trace::{Recorder, Trace};
-use sentomist_tracestore::{read_trace, write_trace, TraceReader};
+use sentomist_tracestore::{read_trace, write_trace};
 use tinyvm::devices::NodeConfig;
 use tinyvm::node::Node;
 
@@ -55,20 +54,7 @@ fn bench_decode(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("densify", items(&trace)),
             &bytes,
-            |b, bytes| b.iter(|| read_trace(&bytes[..]).unwrap().events.len()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("stream_intervals", items(&trace)),
-            &bytes,
-            |b, bytes| {
-                b.iter(|| {
-                    TraceReader::new(&bytes[..])
-                        .unwrap()
-                        .replay_online()
-                        .unwrap()
-                        .len()
-                })
-            },
+            |b, bytes| b.iter(|| read_trace(bytes).unwrap().events.len()),
         );
     }
     group.finish();

@@ -6,16 +6,19 @@
 //! of process-lifetime vectors, so detectors can be re-tuned and
 //! campaigns re-ranked **without paying the emulation cost again**:
 //!
-//! * [`format`] — the versioned `.stc` byte layout: delta + varint
+//! * [`format`](mod@format) — the versioned `.stc` byte layout: delta + varint
 //!   encoded cycle stamps and item payloads, sparse count segments,
 //!   per-chunk checksums, a sealed end chunk with a stream digest;
 //! * [`TraceWriter`] — a streaming [`tinyvm::TraceSink`] that encodes
 //!   items as the VM emits them, with O(chunk) memory;
-//! * [`TraceReader`] — a chunk-at-a-time reader that can replay straight
-//!   into the online interval extractor
-//!   ([`TraceReader::replay_online`]) or densify a whole [`Trace`]
-//!   ([`read_trace`]); corrupt or truncated input yields a typed
-//!   [`StoreError`], never a panic;
+//! * [`TraceView`] — the one decoder: a zero-copy view over a file
+//!   loaded whole ([`TraceImage`]) that densifies a [`Trace`]
+//!   ([`read_trace`], [`read_trace_file`]), replays straight into the
+//!   online interval extractor ([`TraceView::replay_online`]), or
+//!   salvages a damaged file's intact prefix ([`TraceView::salvage`]);
+//!   corrupt or truncated input yields a typed [`StoreError`], never a
+//!   panic. Every read site already has the whole file on disk, so a
+//!   streaming decoder would only add a second code path;
 //! * [`TraceStore`] — the corpus directory: one JSON manifest per run
 //!   (seed, mode, program digest, per-node trace digests) plus an
 //!   optional campaign manifest, enabling `sentomist trace mine` to
@@ -37,7 +40,7 @@
 //! };
 //! let mut bytes = Vec::new();
 //! write_trace(&mut bytes, &trace)?;
-//! assert_eq!(read_trace(&bytes[..])?, trace);
+//! assert_eq!(read_trace(&bytes)?, trace);
 //! # Ok(())
 //! # }
 //! ```
@@ -48,7 +51,6 @@
 pub mod error;
 pub mod format;
 pub mod index;
-pub mod reader;
 pub mod store;
 pub mod sync;
 pub mod view;
@@ -58,13 +60,14 @@ pub mod writer;
 pub use error::StoreError;
 pub use format::{Record, FORMAT_VERSION};
 pub use index::{CorpusFingerprint, CorpusIndex, IndexEntry, INDEX_FILE};
-pub use reader::{read_trace, read_trace_file, salvage_trace_file, Salvage, TraceReader};
 pub use store::{
     run_id_for_seed, seed_for_run_id, CampaignManifest, NodeTraceMeta, QuarantineNote, RunManifest,
     StoredRunError, TraceStore, JOURNAL_FILE, MANIFEST_VERSION,
 };
 pub use sync::{IoFault, IoShim, SyncPolicy, WriteClass};
-pub use view::{read_trace_image, ChunkRef, TraceImage, TraceView};
+pub use view::{
+    read_trace, read_trace_file, salvage_trace_file, ChunkRef, Salvage, TraceImage, TraceView,
+};
 pub use wal::{RecoveryReport, WalRecord, TMP_SUFFIX, WAL_FILE};
 pub use writer::{write_trace, write_trace_file, StoreStats, TraceWriter};
 

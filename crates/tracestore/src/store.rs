@@ -28,15 +28,12 @@
 //! index, manifests written in place) read back unchanged.
 
 use crate::error::StoreError;
-use crate::reader::TraceReader;
 use crate::sync::{IoShim, SyncPolicy, WriteClass};
-use crate::view::read_trace_image;
+use crate::view::read_trace_file;
 use crate::writer::{write_trace, StoreStats};
 use sentomist_trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::fs::File;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 /// Version of the manifest schema (independent of the `.stc` byte
@@ -465,7 +462,7 @@ impl TraceStore {
             .unwrap_or_else(|| self.run_dir(&manifest.run_id));
         let mut traces = Vec::with_capacity(manifest.nodes.len());
         for node in &manifest.nodes {
-            let trace = read_trace_image(&dir.join(&node.file))?;
+            let trace = read_trace_file(&dir.join(&node.file))?;
             let digest = format!("{:016x}", trace.digest());
             if digest != node.trace_digest {
                 return Err(StoreError::DigestMismatch {
@@ -476,29 +473,6 @@ impl TraceStore {
             traces.push(trace);
         }
         Ok(traces)
-    }
-
-    /// Opens a streaming reader on one node's trace file.
-    ///
-    /// # Errors
-    ///
-    /// Open/header errors.
-    pub fn open_node(
-        &self,
-        manifest: &RunManifest,
-        node: usize,
-    ) -> Result<TraceReader<BufReader<File>>, StoreError> {
-        let meta = manifest
-            .nodes
-            .get(node)
-            .ok_or_else(|| StoreError::Manifest {
-                path: self.run_dir(&manifest.run_id).join("manifest.json"),
-                message: format!("run has no node {node}"),
-            })?;
-        let dir = self
-            .locate_run(&manifest.run_id)?
-            .unwrap_or_else(|| self.run_dir(&manifest.run_id));
-        TraceReader::open(&dir.join(&meta.file))
     }
 
     /// Persists the campaign manifest (`campaign.json`),

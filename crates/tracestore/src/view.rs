@@ -1,22 +1,26 @@
-//! Zero-copy trace views: decode an `.stc` file from borrowed byte
-//! slices instead of per-chunk owned buffers.
+//! The `.stc` decoder: zero-copy views over a trace file loaded whole.
 //!
-//! [`TraceReader`](crate::TraceReader) streams from any `Read`, which
-//! forces it to copy every chunk payload into an owned `Vec<u8>` before
-//! decoding. The re-mine path doesn't need that generality: the file is
-//! already on disk, so [`TraceImage`] loads it once into a single
-//! buffer and [`TraceView`] decodes **in place** — every chunk payload
-//! is a borrowed `&[u8]` slice ([`ChunkRef`]) into the image, checked
-//! against its checksum but never copied. (`#![forbid(unsafe_code)]`
-//! rules out a real `mmap`; a single whole-file image with borrowed
-//! views is the safe equivalent and keeps the same `&[u8]`-slice API a
-//! future mmap could back.)
+//! Every place that reads a trace — corpus re-mine, `trace info`,
+//! salvage of a quarantined run, an encoded buffer in a test — already
+//! has the whole file on disk or in memory, so one decoder over one
+//! buffer serves them all. [`TraceImage`] loads a file once and
+//! [`TraceView`] decodes **in place**: every chunk payload is a
+//! borrowed `&[u8]` slice ([`ChunkRef`]) into the image, checked against
+//! its checksum but never copied. (`#![forbid(unsafe_code)]` rules out
+//! a real `mmap`; a single whole-file image with borrowed views is the
+//! safe equivalent and keeps the same `&[u8]`-slice API a future mmap
+//! could back.)
 //!
-//! On top of chunk slices, [`TraceView::replay_online`] goes one step
-//! further than the streaming reader: count segments are digest-folded
-//! **sparsely** — straight from their varint encoding, without
-//! densifying each one into a `program_len`-wide allocation — because
-//! interval mining only consumes lifecycle events. The fold replicates
+//! [`TraceView::to_trace`] and [`TraceView::salvage`] share one prefix
+//! decode: it walks the chunks until the end chunk verifies or the
+//! first defect stops it. `to_trace` turns a defect into its typed
+//! [`StoreError`]; `salvage` keeps the decoded prefix instead.
+//!
+//! [`TraceView::replay_online`] goes one step further for interval
+//! mining: count segments are digest-folded **sparsely** — straight
+//! from their varint encoding, without densifying each one into a
+//! `program_len`-wide allocation — because the miner only consumes
+//! lifecycle events. The fold replicates
 //! [`digest_segment`](crate::format) exactly (length, then every
 //! counter including zeros), so end-chunk verification still holds.
 
@@ -61,7 +65,7 @@ impl TraceImage {
     ///
     /// # Errors
     ///
-    /// Header validation errors, as [`TraceReader::new`](crate::TraceReader::new).
+    /// Header validation errors, as [`TraceView::new`].
     pub fn view(&self) -> Result<TraceView<'_>, StoreError> {
         TraceView::new(&self.bytes)
     }
@@ -77,11 +81,54 @@ pub struct ChunkRef<'a> {
     pub payload: &'a [u8],
 }
 
-/// A zero-copy decoding view over an in-memory `.stc` file.
+/// A zero-copy decoding view over an in-memory `.stc` file. Every
+/// structural problem — truncation, bit rot, version skew — surfaces as
+/// a typed [`StoreError`], never a panic.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceView<'a> {
     bytes: &'a [u8],
     program_len: u32,
+}
+
+/// What [`TraceView::salvage`] recovered from a damaged trace file:
+/// the longest checksummed, decodable prefix, trimmed back to the
+/// recorder protocol (`segments == events + 1`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Salvage {
+    /// The recovered (protocol-valid) trace. When not even the first
+    /// count segment survived, this is the canonical empty trace.
+    pub trace: Trace,
+    /// Chunks that passed their checksum before recovery stopped.
+    pub recovered_chunks: u64,
+    /// Lifecycle events decoded (before the protocol trim).
+    pub recovered_events: u64,
+    /// Count segments decoded (before the protocol trim).
+    pub recovered_segments: u64,
+    /// Trailing events dropped to restore `segments == events + 1`.
+    pub dropped_events: u64,
+    /// Bytes past the point where decoding stopped: after the last
+    /// whole chunk read, or after the 5-byte frame header of a chunk
+    /// that declared an implausible length. A truncated file loses 0;
+    /// trailing data after the end chunk loses all but the first byte,
+    /// which detecting it consumed.
+    pub lost_bytes: u64,
+    /// `true` when the end chunk verified — the file was whole and
+    /// nothing was lost.
+    pub complete: bool,
+    /// The defect that stopped recovery, rendered as text; `None` when
+    /// [`Salvage::complete`].
+    pub error: Option<String>,
+}
+
+/// How far one prefix decode got: the records it decoded, the chunks it
+/// accepted, the byte offset it reached, and the defect that stopped it
+/// (`None` once the end chunk verified).
+struct Prefix {
+    events: Vec<TraceEvent>,
+    segments: Vec<Vec<u32>>,
+    chunks: u64,
+    read: usize,
+    defect: Option<StoreError>,
 }
 
 impl<'a> TraceView<'a> {
@@ -102,6 +149,7 @@ impl<'a> TraceView<'a> {
         if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion(version));
         }
+        // v1 defines no flags; any set bit is from a future writer (or rot).
         let flags = u16::from_le_bytes([header[6], header[7]]);
         if flags != 0 {
             return Err(StoreError::Corrupt(format!(
@@ -117,7 +165,8 @@ impl<'a> TraceView<'a> {
         Ok(TraceView { bytes, program_len })
     }
 
-    /// The program length declared in the header.
+    /// The program length declared in the header (the width of every
+    /// segment).
     pub fn program_len(&self) -> usize {
         self.program_len as usize
     }
@@ -130,55 +179,79 @@ impl<'a> TraceView<'a> {
             bytes: self.bytes,
             pos: 12,
             index: 0,
+            ended: false,
             done: false,
         }
     }
 
-    /// Densifies the whole view back into a [`Trace`], verifying chunk
-    /// checksums, the end-chunk digest, and the recorder protocol —
-    /// byte-for-byte equivalent to [`read_trace`](crate::read_trace),
-    /// but decoding from borrowed slices with no per-chunk copies.
-    ///
-    /// # Errors
-    ///
-    /// Any structural error of the file.
-    pub fn to_trace(&self) -> Result<Trace, StoreError> {
+    /// Decodes records chunk by chunk until the end chunk verifies or
+    /// the first defect — a bad frame, an undecodable record, an end
+    /// chunk that disagrees with what was read — stops it.
+    fn decode_prefix(&self) -> Prefix {
         let program_len = self.program_len();
         let mut events: Vec<TraceEvent> = Vec::new();
         let mut segments: Vec<Vec<u32>> = Vec::new();
         let mut digest = format::digest_seed(self.program_len);
         let mut prev_cycle = 0u64;
-        for chunk in self.chunks() {
-            let chunk = chunk?;
-            match chunk.kind {
-                CHUNK_RECORDS => {
-                    let payload = chunk.payload;
-                    let mut pos = 0;
-                    while pos < payload.len() {
-                        let tag = payload[pos];
-                        pos += 1;
-                        match get_record(tag, payload, &mut pos, prev_cycle, program_len)? {
-                            Record::Event(ev) => {
-                                digest = format::digest_event(digest, ev.cycle, ev.item);
-                                prev_cycle = ev.cycle;
-                                events.push(ev);
-                            }
-                            Record::Segment(counts) => {
-                                digest = format::digest_segment(digest, &counts);
-                                segments.push(counts);
-                            }
-                        }
-                    }
+        let mut chunks = self.chunks();
+        let defect = 'decode: loop {
+            let chunk = match chunks.next() {
+                None => break None,
+                Some(Err(e)) => break Some(e),
+                Some(Ok(chunk)) => chunk,
+            };
+            if chunk.kind == CHUNK_END {
+                let (n_events, n_segments) = (events.len() as u64, segments.len() as u64);
+                if let Err(e) = verify_end(chunk.payload, n_events, n_segments, digest) {
+                    break Some(e);
                 }
-                _ => {
-                    verify_end(
-                        chunk.payload,
-                        events.len() as u64,
-                        segments.len() as u64,
-                        digest,
-                    )?;
+                continue;
+            }
+            let payload = chunk.payload;
+            let mut pos = 0;
+            while pos < payload.len() {
+                let tag = payload[pos];
+                pos += 1;
+                match get_record(tag, payload, &mut pos, prev_cycle, program_len) {
+                    Ok(Record::Event(ev)) => {
+                        digest = format::digest_event(digest, ev.cycle, ev.item);
+                        prev_cycle = ev.cycle;
+                        events.push(ev);
+                    }
+                    Ok(Record::Segment(counts)) => {
+                        digest = format::digest_segment(digest, &counts);
+                        segments.push(counts);
+                    }
+                    Err(e) => break 'decode Some(e),
                 }
             }
+        };
+        Prefix {
+            events,
+            segments,
+            chunks: chunks.index,
+            read: chunks.pos,
+            defect,
+        }
+    }
+
+    /// Densifies the whole view back into a [`Trace`], verifying chunk
+    /// checksums, the end-chunk digest, and the recorder protocol
+    /// (`segments == events + 1`).
+    ///
+    /// # Errors
+    ///
+    /// Any structural error of the file, plus [`StoreError::Protocol`]
+    /// when the decoded stream breaks the recorder protocol.
+    pub fn to_trace(&self) -> Result<Trace, StoreError> {
+        let Prefix {
+            events,
+            segments,
+            defect,
+            ..
+        } = self.decode_prefix();
+        if let Some(e) = defect {
+            return Err(e);
         }
         if segments.len() != events.len() + 1 {
             return Err(StoreError::Protocol {
@@ -189,8 +262,58 @@ impl<'a> TraceView<'a> {
         Ok(Trace {
             events,
             segments,
-            program_len,
+            program_len: self.program_len(),
         })
+    }
+
+    /// Recovers what it can from a damaged trace file instead of
+    /// rejecting it: records are decoded until the first structural
+    /// defect (truncation, checksum failure, bit rot), then the decoded
+    /// prefix is trimmed to the recorder protocol — the `(seg ev)* seg`
+    /// stream order means at most one trailing event must be dropped for
+    /// a clean cut, more only under in-chunk corruption. Every recovered
+    /// chunk passed its checksum, so the salvaged prefix is as
+    /// trustworthy as an intact file's content — except for the header,
+    /// which no checksum covers: a rotted program length re-widths every
+    /// segment, and only a verified end chunk rules that out.
+    ///
+    /// On an undamaged file this is just [`TraceView::to_trace`] with
+    /// bookkeeping: [`Salvage::complete`] is `true` and nothing is
+    /// dropped.
+    pub fn salvage(&self) -> Salvage {
+        let program_len = self.program_len();
+        let Prefix {
+            mut events,
+            mut segments,
+            chunks,
+            read,
+            defect,
+        } = self.decode_prefix();
+        let recovered_events = events.len() as u64;
+        let recovered_segments = segments.len() as u64;
+        // Trim to protocol. Segments can only trail events by design;
+        // cap both directions anyway so corrupt interleavings still
+        // yield a valid trace.
+        segments.truncate(events.len() + 1);
+        events.truncate(segments.len().saturating_sub(1));
+        if segments.is_empty() {
+            segments.push(vec![0; program_len]);
+        }
+        let trace = Trace {
+            events,
+            segments,
+            program_len,
+        };
+        Salvage {
+            dropped_events: recovered_events - trace.events.len() as u64,
+            recovered_chunks: chunks,
+            recovered_events,
+            recovered_segments,
+            lost_bytes: (self.bytes.len() - read) as u64,
+            complete: defect.is_none(),
+            error: defect.map(|e| e.to_string()),
+            trace,
+        }
     }
 
     /// Replays lifecycle events into an [`OnlineExtractor`] straight
@@ -298,6 +421,8 @@ fn fold_sparse_segment(
     Ok(h)
 }
 
+/// Checks the end chunk's sealed item counts and stream digest against
+/// what the decoder reconstructed.
 fn verify_end(payload: &[u8], events: u64, segments: u64, digest: u64) -> Result<(), StoreError> {
     let mut pos = 0;
     let want_events = format::get_varint(payload, &mut pos)?;
@@ -328,14 +453,81 @@ fn verify_end(payload: &[u8], events: u64, segments: u64, digest: u64) -> Result
 }
 
 /// Iterator over a view's chunks. Yields checksum-verified borrowed
-/// [`ChunkRef`]s; stops after the end chunk (rejecting trailing bytes)
-/// or at the first structural defect.
+/// [`ChunkRef`]s; stops after the end chunk (then rejecting trailing
+/// bytes) or at the first structural defect.
 #[derive(Debug, Clone)]
 pub struct ChunkIter<'a> {
     bytes: &'a [u8],
+    /// Offset of the next frame; after a defect, how far reading got.
     pos: usize,
+    /// Chunks that passed their checksum so far.
     index: u64,
+    ended: bool,
     done: bool,
+}
+
+impl<'a> ChunkIter<'a> {
+    /// A frame that runs past the end of the input: reading it consumed
+    /// everything left.
+    fn truncated(&mut self, context: &'static str) -> StoreError {
+        self.pos = self.bytes.len();
+        StoreError::Truncated { context }
+    }
+
+    fn next_chunk(&mut self) -> Result<Option<ChunkRef<'a>>, StoreError> {
+        loop {
+            let rest = &self.bytes[self.pos..];
+            if self.ended {
+                if rest.is_empty() {
+                    return Ok(None);
+                }
+                // Anything after the end chunk is foreign matter; spotting
+                // it reads its first byte.
+                self.pos += 1;
+                return Err(StoreError::Corrupt(
+                    "trailing data after the end chunk".into(),
+                ));
+            }
+            let Some((&kind, frame)) = rest.split_first() else {
+                return Err(StoreError::Truncated {
+                    context: "missing end chunk",
+                });
+            };
+            let Some(len_bytes) = frame.get(..4) else {
+                return Err(self.truncated("chunk length"));
+            };
+            let len = u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]])
+                as usize;
+            if len > MAX_CHUNK {
+                self.pos += 1 + 4;
+                return Err(StoreError::Corrupt(format!(
+                    "chunk {} declares an implausible {len}-byte payload",
+                    self.index
+                )));
+            }
+            let Some(payload) = frame.get(4..4 + len) else {
+                return Err(self.truncated("chunk payload"));
+            };
+            let Some(sum) = frame.get(4 + len..4 + len + 4) else {
+                return Err(self.truncated("chunk checksum"));
+            };
+            self.pos += 1 + 4 + len + 4;
+            if format::fnv32(payload) != u32::from_le_bytes([sum[0], sum[1], sum[2], sum[3]]) {
+                return Err(StoreError::ChecksumMismatch { chunk: self.index });
+            }
+            self.index += 1;
+            match kind {
+                // An empty records chunk is legal but pointless; skip it.
+                CHUNK_RECORDS if payload.is_empty() => {}
+                CHUNK_RECORDS => return Ok(Some(ChunkRef { kind, payload })),
+                CHUNK_END => {
+                    self.ended = true;
+                    return Ok(Some(ChunkRef { kind, payload }));
+                }
+                other => return Err(StoreError::Corrupt(format!("unknown chunk kind {other}"))),
+            }
+        }
+    }
 }
 
 impl<'a> Iterator for ChunkIter<'a> {
@@ -345,85 +537,46 @@ impl<'a> Iterator for ChunkIter<'a> {
         if self.done {
             return None;
         }
-        if self.pos >= self.bytes.len() {
-            self.done = true;
-            return Some(Err(StoreError::Truncated {
-                context: "missing end chunk",
-            }));
-        }
-        let kind = self.bytes[self.pos];
-        let frame = &self.bytes[self.pos + 1..];
-        let Some(len_bytes) = frame.get(..4) else {
-            self.done = true;
-            return Some(Err(StoreError::Truncated {
-                context: "chunk length",
-            }));
-        };
-        let len =
-            u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-        if len > MAX_CHUNK {
-            self.done = true;
-            return Some(Err(StoreError::Corrupt(format!(
-                "chunk {} declares an implausible {len}-byte payload",
-                self.index
-            ))));
-        }
-        let Some(payload) = frame.get(4..4 + len) else {
-            self.done = true;
-            return Some(Err(StoreError::Truncated {
-                context: "chunk payload",
-            }));
-        };
-        let Some(sum) = frame.get(4 + len..4 + len + 4) else {
-            self.done = true;
-            return Some(Err(StoreError::Truncated {
-                context: "chunk checksum",
-            }));
-        };
-        if format::fnv32(payload) != u32::from_le_bytes([sum[0], sum[1], sum[2], sum[3]]) {
-            self.done = true;
-            return Some(Err(StoreError::ChecksumMismatch { chunk: self.index }));
-        }
-        self.pos += 1 + 4 + len + 4;
-        self.index += 1;
-        match kind {
-            CHUNK_RECORDS => {
-                if payload.is_empty() {
-                    return self.next(); // legal but pointless; skip
-                }
-                Some(Ok(ChunkRef { kind, payload }))
-            }
-            CHUNK_END => {
-                self.done = true;
-                if self.pos != self.bytes.len() {
-                    return Some(Err(StoreError::Corrupt(
-                        "trailing data after the end chunk".into(),
-                    )));
-                }
-                Some(Ok(ChunkRef { kind, payload }))
-            }
-            other => Some(Err(StoreError::Corrupt(format!(
-                "unknown chunk kind {other}"
-            )))),
-        }
+        let next = self.next_chunk().transpose();
+        self.done = !matches!(next, Some(Ok(_)));
+        next
     }
 }
 
-/// [`TraceView::to_trace`] from a file path: one read, zero per-chunk
-/// copies — the re-mine replacement for
-/// [`read_trace_file`](crate::read_trace_file).
+/// Decodes a whole encoded trace held in memory, as
+/// [`TraceView::to_trace`].
 ///
 /// # Errors
 ///
-/// Read and structural errors, as their streaming counterparts.
-pub fn read_trace_image(path: &Path) -> Result<Trace, StoreError> {
+/// Header and structural errors, plus [`StoreError::Protocol`] when the
+/// decoded stream does not satisfy `segments == events + 1`.
+pub fn read_trace(bytes: &[u8]) -> Result<Trace, StoreError> {
+    TraceView::new(bytes)?.to_trace()
+}
+
+/// [`read_trace`] from a file path: one whole-file read, then a
+/// zero-copy decode.
+///
+/// # Errors
+///
+/// As [`read_trace`], plus read failures.
+pub fn read_trace_file(path: &Path) -> Result<Trace, StoreError> {
     TraceImage::open(path)?.view()?.to_trace()
+}
+
+/// [`TraceView::salvage`] from a file path.
+///
+/// # Errors
+///
+/// Read and header failures only — once the header validates there is
+/// always *a* salvage result, however empty.
+pub fn salvage_trace_file(path: &Path) -> Result<Salvage, StoreError> {
+    Ok(TraceImage::open(path)?.view()?.salvage())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::{read_trace, TraceReader};
     use crate::writer::write_trace;
     use tinyvm::{LifecycleItem, TaskId};
 
@@ -456,13 +609,12 @@ mod tests {
     }
 
     #[test]
-    fn view_decodes_identically_to_the_streaming_reader() {
+    fn view_round_trips_a_trace() {
         let trace = sample_trace();
-        let bytes = encode(&trace);
-        let image = TraceImage::from_bytes(bytes.clone());
+        let image = TraceImage::from_bytes(encode(&trace));
         let decoded = image.view().unwrap().to_trace().unwrap();
-        assert_eq!(decoded, read_trace(&bytes[..]).unwrap());
         assert_eq!(decoded, trace);
+        assert_eq!(decoded.digest(), trace.digest());
     }
 
     #[test]
@@ -491,18 +643,13 @@ mod tests {
     }
 
     #[test]
-    fn replay_online_matches_the_streaming_reader() {
+    fn replay_online_matches_batch_extraction() {
         let trace = sample_trace();
-        let bytes = encode(&trace);
-        let image = TraceImage::from_bytes(bytes.clone());
-        let mut zero_copy = image.view().unwrap().replay_online().unwrap();
-        zero_copy.sort_by_key(|iv| iv.start_index);
-        let mut streamed = TraceReader::new(&bytes[..])
-            .unwrap()
-            .replay_online()
-            .unwrap();
+        let image = TraceImage::from_bytes(encode(&trace));
+        let mut streamed = image.view().unwrap().replay_online().unwrap();
         streamed.sort_by_key(|iv| iv.start_index);
-        assert_eq!(zero_copy, streamed);
+        let batch = sentomist_trace::extract(&trace).unwrap().intervals;
+        assert_eq!(streamed, batch);
     }
 
     #[test]
@@ -529,7 +676,7 @@ mod tests {
     fn truncation_anywhere_is_a_typed_error() {
         let bytes = encode(&sample_trace());
         for cut in 0..bytes.len() {
-            let result = TraceView::new(&bytes[..cut]).and_then(|v| v.to_trace());
+            let result = read_trace(&bytes[..cut]);
             assert!(result.is_err(), "prefix of {cut} bytes decoded");
             let result = TraceView::new(&bytes[..cut]).and_then(|v| v.replay_online().map(|_| ()));
             assert!(result.is_err(), "prefix of {cut} bytes replayed");
@@ -537,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn corruption_and_trailing_garbage_are_typed() {
+    fn corruption_version_skew_and_trailing_garbage_are_typed() {
         let bytes = encode(&sample_trace());
         let mut corrupted = bytes.clone();
         corrupted[12 + 5 + 2] ^= 0x10;
@@ -551,11 +698,85 @@ mod tests {
             TraceImage::from_bytes(trailing).view().unwrap().to_trace(),
             Err(StoreError::Corrupt(_))
         ));
-        let mut bad_magic = bytes;
+        let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
         assert!(matches!(
             TraceView::new(&bad_magic),
             Err(StoreError::BadMagic)
         ));
+        let mut version_skew = bytes;
+        version_skew[4] = 0xEE;
+        assert!(matches!(
+            read_trace(&version_skew),
+            Err(StoreError::UnsupportedVersion(0xEE))
+        ));
+    }
+
+    #[test]
+    fn protocol_violation_is_typed() {
+        // events == segments (hand-built): encodes fine, to_trace rejects.
+        let trace = Trace {
+            events: sample_trace().events,
+            segments: vec![vec![0, 0, 0, 0]; 5],
+            program_len: 4,
+        };
+        assert!(matches!(
+            read_trace(&encode(&trace)),
+            Err(StoreError::Protocol { .. })
+        ));
+    }
+
+    #[test]
+    fn salvage_of_an_intact_file_is_complete_and_lossless() {
+        let trace = sample_trace();
+        let bytes = encode(&trace);
+        let salvage = TraceView::new(&bytes).unwrap().salvage();
+        assert!(salvage.complete);
+        assert_eq!(salvage.error, None);
+        assert_eq!(salvage.trace, trace);
+        assert_eq!(salvage.dropped_events, 0);
+        assert_eq!(salvage.lost_bytes, 0);
+        assert_eq!(salvage.recovered_events, trace.events.len() as u64);
+    }
+
+    #[test]
+    fn salvage_recovers_a_protocol_valid_prefix_from_any_truncation() {
+        let trace = sample_trace();
+        let bytes = encode(&trace);
+        for cut in 12..bytes.len() {
+            let Ok(view) = TraceView::new(&bytes[..cut]) else {
+                continue; // header itself unreadable: nothing to salvage
+            };
+            let salvage = view.salvage();
+            assert!(!salvage.complete, "cut at {cut} still verified");
+            assert!(salvage.error.is_some());
+            let t = &salvage.trace;
+            assert_eq!(
+                t.segments.len(),
+                t.events.len() + 1,
+                "cut at {cut} broke the protocol"
+            );
+            assert_eq!(t.program_len, trace.program_len);
+            // The recovered prefix is a true prefix of the original.
+            assert_eq!(t.events[..], trace.events[..t.events.len()]);
+            assert_eq!(t.segments[..], trace.segments[..t.segments.len()]);
+            assert!(salvage.dropped_events <= 1, "clean cut drops at most one");
+        }
+    }
+
+    #[test]
+    fn salvage_stops_at_a_checksum_failure_and_counts_lost_bytes() {
+        let trace = sample_trace();
+        let mut bytes = encode(&trace);
+        // Flip a bit inside the first records chunk's payload.
+        bytes[12 + 5 + 2] ^= 0x10;
+        let salvage = TraceView::new(&bytes).unwrap().salvage();
+        assert!(!salvage.complete);
+        assert!(salvage.error.unwrap().contains("checksum"));
+        assert_eq!(salvage.recovered_chunks, 0);
+        // Nothing decodable before the bad chunk: canonical empty trace.
+        assert!(salvage.trace.events.is_empty());
+        assert_eq!(salvage.trace.segments, vec![vec![0; 4]]);
+        assert!(salvage.lost_bytes > 0);
     }
 }

@@ -1,11 +1,12 @@
 //! Property tests for the `.stc` trace format: arbitrary traces must
 //! round-trip losslessly, and *no* corruption of a valid file — truncation
 //! at any byte, a single flipped bit anywhere — may decode silently or
-//! panic. Every such mutation must surface as a typed [`StoreError`].
+//! panic. Every such mutation must surface as a typed [`StoreError`], and
+//! salvage must recover a protocol-valid true prefix of the original.
 
 use proptest::prelude::*;
 use sentomist_trace::{Trace, TraceEvent};
-use sentomist_tracestore::{read_trace, write_trace, StoreError};
+use sentomist_tracestore::{read_trace, write_trace, StoreError, TraceView};
 use tinyvm::{LifecycleItem, TaskId};
 
 fn item_strategy() -> impl Strategy<Value = LifecycleItem> {
@@ -133,6 +134,44 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn salvage_recovers_a_true_protocol_valid_prefix(
+        trace in trace_strategy(),
+        damage in (0u8..3, 0usize..1 << 16, 0u8..8),
+    ) {
+        let bytes = encode(&trace);
+        let mut damaged = bytes.clone();
+        match damage {
+            (0, at, _) => damaged.truncate(at % (bytes.len() + 1)),
+            (1, at, bit) => damaged[at % bytes.len()] ^= 1 << bit,
+            _ => {} // left intact
+        }
+        let decoded = read_trace(&damaged);
+        let Ok(view) = TraceView::new(&damaged) else {
+            prop_assert!(decoded.is_err(), "header rejected, yet read_trace decoded");
+            return Ok(());
+        };
+        let salvage = view.salvage();
+        let t = &salvage.trace;
+        prop_assert_eq!(t.segments.len(), t.events.len() + 1);
+        prop_assert_eq!(Some(&t.events[..]), trace.events.get(..t.events.len()));
+        if salvage.recovered_segments == 0 {
+            // Nothing survived: the canonical empty trace.
+            prop_assert_eq!(&t.segments, &vec![vec![0; t.program_len]]);
+        } else if t.program_len == trace.program_len {
+            prop_assert_eq!(Some(&t.segments[..]), trace.segments.get(..t.segments.len()));
+        } else {
+            // The header sits outside every checksum: a flipped
+            // program-length bit re-widths the segments, and only the
+            // end-chunk digest (seeded with the length) catches it.
+            prop_assert!(!salvage.complete, "re-widthed segments verified");
+        }
+        prop_assert_eq!(salvage.complete, decoded.is_ok());
+        if let Ok(decoded) = decoded {
+            prop_assert_eq!(&salvage.trace, &decoded);
+        }
+    }
 }
 
 #[test]
@@ -169,6 +208,19 @@ fn known_corruptions_map_to_their_error_variants() {
     let mut plen = bytes.clone();
     plen[11] = 0x80; // program_len 2 -> 2 + 2^31: implausible
     assert!(matches!(read_trace(&plen[..]), Err(StoreError::Corrupt(_))));
+
+    // A plausible program length passes the unchecksummed header; only
+    // the end-chunk digest catches it. Salvage keeps every record, but
+    // decoded three counters wide.
+    let mut plausible = bytes.clone();
+    plausible[8] ^= 0x01; // program_len 2 -> 3
+    assert!(matches!(
+        read_trace(&plausible[..]),
+        Err(StoreError::DigestMismatch { .. })
+    ));
+    let salvage = TraceView::new(&plausible).unwrap().salvage();
+    assert!(!salvage.complete);
+    assert_eq!(salvage.trace.segments, vec![vec![3, 0, 0], vec![0, 9, 0]]);
 
     let mut payload = bytes.clone();
     payload[12 + 5] ^= 0x40; // first byte of the first chunk payload

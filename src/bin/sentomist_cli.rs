@@ -32,7 +32,7 @@ use sentomist::mlcore::{
 use sentomist::tinyvm::{self, devices::NodeConfig, node::Node};
 use sentomist::trace::{Recorder, Trace};
 use sentomist::tracestore::{
-    CampaignManifest, CorpusIndex, StoredRunError, TraceReader, TraceStore, TraceWriter,
+    CampaignManifest, CorpusIndex, StoredRunError, TraceImage, TraceStore, TraceWriter,
     MANIFEST_VERSION,
 };
 use serde::{Serialize, Value};
@@ -1545,33 +1545,23 @@ fn cmd_trace_ls(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Streams one `.stc` file twice: once to count records, once through the
-/// online extractor for interval statistics — never materializing the
-/// dense trace.
+/// Loads one `.stc` file once: densifies it to count records, then
+/// replays the same image through the online extractor for interval
+/// statistics.
 fn stc_file_info(path: &Path) -> Result<(), Box<dyn Error>> {
-    use sentomist::tracestore::Record;
-    let mut reader = TraceReader::open(path)?;
+    let image = TraceImage::open(path)?;
+    let view = image.view()?;
     println!(
         "{}: stc v{}, program length {}",
         path.display(),
         sentomist::tracestore::FORMAT_VERSION,
-        reader.program_len()
+        view.program_len()
     );
-    let mut events = 0u64;
-    let mut segments = 0u64;
-    let mut last_cycle = 0u64;
-    while let Some(record) = reader.next_record()? {
-        match record {
-            Record::Event(e) => {
-                events += 1;
-                last_cycle = e.cycle;
-            }
-            Record::Segment(_) => segments += 1,
-        }
-    }
-    let bytes = std::fs::metadata(path)
-        .map_err(|e| format!("stat {}: {e}", path.display()))?
-        .len();
+    let trace = view.to_trace()?;
+    let events = trace.events.len() as u64;
+    let segments = trace.segments.len() as u64;
+    let last_cycle = trace.events.last().map_or(0, |e| e.cycle);
+    let bytes = image.bytes().len() as u64;
     println!("  {events} lifecycle events, {segments} segments, last event at cycle {last_cycle}");
     println!(
         "  {bytes} bytes on disk ({:.2} per event+segment pair)",
@@ -1581,7 +1571,7 @@ fn stc_file_info(path: &Path) -> Result<(), Box<dyn Error>> {
             bytes as f64 / (events + segments) as f64
         }
     );
-    let intervals = TraceReader::open(path)?.replay_online()?;
+    let intervals = view.replay_online()?;
     let mut per_irq: Vec<(u8, usize)> = Vec::new();
     for iv in &intervals {
         match per_irq.iter_mut().find(|(irq, _)| *irq == iv.irq) {

@@ -65,6 +65,16 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
+/// Whether `--name` is `--help` or one of the flags `usage()` lists
+/// under OPTIONS (the only lines that start with `--`).
+fn known_flag(name: &str) -> bool {
+    name == "help"
+        || usage().lines().any(|line| {
+            let documented = line.trim_start().strip_prefix("--");
+            documented.and_then(|rest| rest.split_whitespace().next()) == Some(name)
+        })
+}
+
 fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
     match flags.get(name) {
         None => Ok(default),
@@ -76,6 +86,10 @@ fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result
 
 fn run(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
+    // A misspelled flag must not silently fall back to its default.
+    if let Some(name) = flags.keys().filter(|name| !known_flag(name)).min() {
+        return Err(format!("unknown flag `--{name}`"));
+    }
     if flags.contains_key("help") {
         println!("{}", usage());
         return Ok(());

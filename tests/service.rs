@@ -407,3 +407,34 @@ fn loadgen_ramp_writes_a_bench_report() {
     assert!(report.get("max_sustainable_rps").is_some());
     daemon.shutdown_clean();
 }
+
+#[test]
+fn misspelled_flag_is_rejected_before_binding() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sentomistd"))
+        .args(["--port", "0", "--wokers", "4"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning sentomistd");
+    // A daemon that accepted the typo would serve forever; give it a
+    // bounded window to exit on its own.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("polling the daemon").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("sentomistd kept running with a misspelled flag");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collecting daemon output");
+    assert!(!out.status.success(), "typo exited {:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("listening on"), "bound anyway: {stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag `--wokers`"),
+        "stderr: {stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "stderr: {stderr}");
+}
