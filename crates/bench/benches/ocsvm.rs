@@ -33,13 +33,37 @@ fn samples(n: usize, d: usize, seed: u64) -> FeatureMatrix {
     m
 }
 
+/// Shaped like a case-I ranking: `n` rows, each a copy of one of
+/// `distinct` rows of [`samples`].
+fn repeated_samples(n: usize, distinct: usize, d: usize, seed: u64) -> FeatureMatrix {
+    let palette = samples(distinct, d, seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+    let mut m = FeatureMatrix::with_capacity(n, d);
+    for _ in 0..n {
+        m.push_row(palette.row(rng.gen_range(0..distinct)));
+    }
+    m
+}
+
+/// The sample sets of the Gram and rank-path groups: all-distinct rows
+/// (the worst case for the row grouping) and a duplicate-heavy set of
+/// 1,141 rows drawn from 44 distinct ones.
+fn gram_inputs(seed: u64) -> Vec<(String, FeatureMatrix)> {
+    let mut inputs: Vec<(String, FeatureMatrix)> = [400usize, 1000]
+        .into_iter()
+        .map(|n| (n.to_string(), samples(n, 64, seed)))
+        .collect();
+    inputs.push(("1141x44".into(), repeated_samples(1141, 44, 64, seed)));
+    inputs
+}
+
 /// RBF Gram-matrix construction — the O(n²d) kernel of every SMO solve.
 fn bench_gram(c: &mut Criterion) {
     let mut group = c.benchmark_group("gram_construction");
-    for n in [400usize, 1000] {
-        let data = Scaler::fit_transform(&samples(n, 64, 7));
+    for (name, raw) in gram_inputs(7) {
+        let data = Scaler::fit_transform(&raw);
         let kernel = Kernel::Rbf { gamma: 1.0 / 64.0 };
-        group.bench_with_input(BenchmarkId::from_parameter(n), &data, |b, d| {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &data, |b, d| {
             b.iter(|| kernel.gram(d).rows())
         });
     }
@@ -49,7 +73,8 @@ fn bench_gram(c: &mut Criterion) {
 /// The featurize→scale→detect→rank vertical on pre-built samples.
 fn bench_rank_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("rank_path");
-    for n in [400usize, 1000] {
+    for (name, features) in gram_inputs(9) {
+        let n = features.rows();
         let meta: Vec<SampleMeta> = (0..n)
             .map(|i| SampleMeta {
                 index: SampleIndex::Seq(i as u32 + 1),
@@ -64,12 +89,9 @@ fn bench_rank_path(c: &mut Criterion) {
                 },
             })
             .collect();
-        let built = SampleSet {
-            meta,
-            features: samples(n, 64, 9),
-        };
+        let built = SampleSet { meta, features };
         let pipeline = Pipeline::default_ocsvm(0.05);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &built, |b, s| {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &built, |b, s| {
             b.iter(|| pipeline.rank_set(s.clone()).unwrap().ranking.len())
         });
     }

@@ -2,6 +2,7 @@
 //! can actually plug in these outlier detection algorithms conveniently").
 
 use crate::matrix::FeatureMatrix;
+use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 
@@ -102,13 +103,17 @@ pub fn normalize_scores(scores: &mut [f64]) {
 }
 
 /// Returns sample indices sorted ascending by score (most suspicious
-/// first), ties broken by index for determinism.
+/// first), ties broken by index for determinism. NaN scores rank after
+/// every number; `-0.0` and `+0.0` tie.
 pub fn rank_ascending(scores: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).collect();
     idx.sort_by(|&a, &b| {
-        scores[a]
-            .partial_cmp(&scores[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
+        let (x, y) = (scores[a], scores[b]);
+        // A total order: NaN is the largest key, so no comparison is
+        // ever undecided.
+        x.is_nan()
+            .cmp(&y.is_nan())
+            .then(x.partial_cmp(&y).unwrap_or(Ordering::Equal))
             .then(a.cmp(&b))
     });
     idx
@@ -136,6 +141,13 @@ mod tests {
     fn rank_is_ascending_and_stable() {
         let order = rank_ascending(&[0.5, -1.0, 0.5, -2.0]);
         assert_eq!(order, vec![3, 1, 0, 2]);
+    }
+
+    #[test]
+    fn rank_puts_nan_last_and_keeps_numbers_sorted() {
+        let nan = f64::NAN;
+        let order = rank_ascending(&[nan, 2.0, -nan, -1.0, nan, 0.5]);
+        assert_eq!(order, vec![3, 5, 1, 0, 2, 4]);
     }
 
     #[test]

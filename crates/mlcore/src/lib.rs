@@ -42,7 +42,7 @@ pub use evaluation::{
     pr_curve, precision_at_k, recall_at_k, roc_auc, roc_curve,
 };
 pub use kde::KdeDetector;
-pub use kernel::Kernel;
+pub use kernel::{DistinctGram, Kernel};
 pub use kfd::KfdDetector;
 pub use knn::KnnDetector;
 pub use mahalanobis::MahalanobisDetector;

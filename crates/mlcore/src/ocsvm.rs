@@ -24,13 +24,20 @@
 //! # Solver
 //!
 //! Sequential minimal optimization with maximal-violating-pair working-set
-//! selection and a dense precomputed Gram matrix (sample counts in this
-//! project are ≤ a few thousand). Samples and the Gram matrix are both
-//! dense row-major [`FeatureMatrix`] storage, so every inner loop runs
-//! over contiguous row slices.
+//! selection over a Gram matrix precomputed on the *distinct* sample rows
+//! ([`Kernel::distinct_gram`]). Interval features repeat heavily, so
+//! `u` distinct rows are often far fewer than `l` samples: the solver
+//! keeps one gradient entry per distinct row, which makes the initial
+//! gradient O(u·l), each SMO update O(u) and memory O(u² + l).
+//!
+//! The result is bit-identical to a dense `l × l` solve. Bit-equal rows
+//! have bit-equal Q rows, so by induction over the SMO steps they keep
+//! bit-equal gradients; working-set selection, ρ and the decision values
+//! still walk the samples in index order, so every comparison and sum
+//! sees the same values in the same order.
 
 use crate::detector::{validate_samples, MlError, OutlierDetector};
-use crate::kernel::Kernel;
+use crate::kernel::{DistinctGram, Kernel};
 use crate::matrix::FeatureMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -113,7 +120,9 @@ impl OneClassSvm {
             )));
         }
         let kernel = self.config.kernel.unwrap_or(Kernel::rbf_default(d));
-        let q = kernel.gram(samples);
+        // Q_ij = q[of[i]][of[j]]: bit-equal samples share a Q row.
+        let DistinctGram { q, of } = kernel.distinct_gram(samples);
+        let u = q.rows();
 
         // LIBSVM-style initialization: the first ⌊ν·l⌋ points get α = 1,
         // the next gets the fractional remainder.
@@ -126,14 +135,16 @@ impl OneClassSvm {
             alpha[n_full] = total - n_full as f64;
         }
 
-        // Gradient G = Qα.
-        let mut grad = vec![0.0f64; l];
-        for (i, g_out) in grad.iter_mut().enumerate() {
-            let qi = q.row(i);
+        // Gradient G = Qα, one entry per distinct row: samples with equal
+        // Q rows start with equal gradients, and every update below adds
+        // the same term to both, so `grad[of[k]]` is sample k's gradient.
+        let mut grad = vec![0.0f64; u];
+        for (a, g_out) in grad.iter_mut().enumerate() {
+            let qa = q.row(a);
             let mut g = 0.0;
             for j in 0..l {
                 if alpha[j] > 0.0 {
-                    g += qi[j] * alpha[j];
+                    g += qa[of[j]] * alpha[j];
                 }
             }
             *g_out = g;
@@ -151,13 +162,14 @@ impl OneClassSvm {
             let mut i_val = f64::NEG_INFINITY;
             let mut j_sel = None;
             let mut j_val = f64::INFINITY;
-            for k in 0..l {
-                if alpha[k] < 1.0 && -grad[k] > i_val {
-                    i_val = -grad[k];
+            for (k, &a) in of.iter().enumerate() {
+                let g = grad[a];
+                if alpha[k] < 1.0 && -g > i_val {
+                    i_val = -g;
                     i_sel = Some(k);
                 }
-                if alpha[k] > 0.0 && -grad[k] < j_val {
-                    j_val = -grad[k];
+                if alpha[k] > 0.0 && -g < j_val {
+                    j_val = -g;
                     j_sel = Some(k);
                 }
             }
@@ -171,11 +183,12 @@ impl OneClassSvm {
             }
             // Analytic step along (e_i - e_j). Q is symmetric, so the
             // column reads Q[k][i], Q[k][j] of the gradient update are the
-            // contiguous row slices Q[i], Q[j].
-            let qi = q.row(i);
-            let qj = q.row(j);
-            let quad = (qi[i] + qj[j] - 2.0 * qi[j]).max(tau);
-            let mut delta = (grad[j] - grad[i]) / quad;
+            // contiguous row slices q[of[i]], q[of[j]].
+            let (ui, uj) = (of[i], of[j]);
+            let qi = q.row(ui);
+            let qj = q.row(uj);
+            let quad = (qi[ui] + qj[uj] - 2.0 * qi[uj]).max(tau);
+            let mut delta = (grad[uj] - grad[ui]) / quad;
             delta = delta.min(1.0 - alpha[i]).min(alpha[j]);
             if delta <= 0.0 {
                 // Degenerate (box-bound) pair; numerical convergence.
@@ -184,8 +197,8 @@ impl OneClassSvm {
             }
             alpha[i] += delta;
             alpha[j] -= delta;
-            for k in 0..l {
-                grad[k] += delta * (qi[k] - qj[k]);
+            for (g, (a, b)) in grad.iter_mut().zip(qi.iter().zip(qj)) {
+                *g += delta * (a - b);
             }
         }
 
@@ -194,14 +207,15 @@ impl OneClassSvm {
         let mut free_count = 0usize;
         let mut upper = f64::INFINITY; // min G over α = 0
         let mut lower = f64::NEG_INFINITY; // max G over α = 1
-        for k in 0..l {
+        for (k, &a) in of.iter().enumerate() {
+            let g = grad[a];
             if alpha[k] > 0.0 && alpha[k] < 1.0 {
-                free_sum += grad[k];
+                free_sum += g;
                 free_count += 1;
             } else if alpha[k] <= 0.0 {
-                upper = upper.min(grad[k]);
+                upper = upper.min(g);
             } else {
-                lower = lower.max(grad[k]);
+                lower = lower.max(g);
             }
         }
         let rho = if free_count > 0 {
@@ -212,7 +226,7 @@ impl OneClassSvm {
             (lo + hi) / 2.0
         };
 
-        let decision = grad.iter().map(|&g| g - rho).collect();
+        let decision = of.iter().map(|&a| grad[a] - rho).collect();
         let mut support = FeatureMatrix::new(samples.cols());
         let mut alphas = Vec::new();
         for (i, &a) in alpha.iter().enumerate() {

@@ -136,4 +136,31 @@ proptest! {
             prop_assert!(scores[w[0]] <= scores[w[1]]);
         }
     }
+
+    #[test]
+    fn rank_ascending_orders_numbers_first_and_nans_last(scores in nan_laced_scores()) {
+        // Reference: the numbers by value (ties, including -0.0 vs +0.0,
+        // by index), then every NaN by index.
+        let (mut numbers, nans): (Vec<usize>, Vec<usize>) =
+            (0..scores.len()).partition(|&i| !scores[i].is_nan());
+        numbers.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap().then(a.cmp(&b)));
+        numbers.extend(nans);
+        prop_assert_eq!(rank_ascending(&scores), numbers);
+    }
+}
+
+/// Score vectors with NaNs of both signs, signed zeros and exact ties
+/// mixed among ordinary values.
+fn nan_laced_scores() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(
+        prop_oneof![
+            -10.0f64..10.0,
+            (-3i32..3).prop_map(f64::from),
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            Just(0.0),
+            Just(-0.0),
+        ],
+        0..60,
+    )
 }
