@@ -1,9 +1,12 @@
 //! Multi-node simulation scaling: wall time of the conservative
 //! synchronization engine as the network grows (grid of heartbeat nodes),
-//! and the cost of link-loss modelling.
+//! the cost of link-loss modelling, and one case-III emulation (the
+//! 9-node CTP tree every live case-III seed runs first).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim::{LinkConfig, NetSim, Topology};
+use sentomist_apps::ctp;
+use sentomist_apps::experiments::CYCLES_PER_SECOND;
 use std::sync::Arc;
 use tinyvm::devices::NodeConfig;
 use tinyvm::{NullSink, Program};
@@ -90,9 +93,29 @@ fn bench_lossy_links(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 15 s case-III seed (the default `Case3Config`: buggy CTP, seed 3)
+/// on the 9-node tree, traces discarded, so only emulation is timed.
+fn run_case3(program: &Arc<Program>, seed: u64) -> u64 {
+    let mut sim = NetSim::new(ctp::topology().unwrap(), seed);
+    for id in 0..ctp::NODE_COUNT {
+        sim.add_node(program.clone(), ctp::node_config(id, seed))
+            .unwrap();
+    }
+    let mut sinks = vec![NullSink; ctp::NODE_COUNT as usize];
+    sim.run(15 * CYCLES_PER_SECOND, &mut sinks).unwrap();
+    (0..ctp::NODE_COUNT)
+        .map(|id| sim.node(id).instructions_retired())
+        .sum()
+}
+
+fn bench_case3(c: &mut Criterion) {
+    let program = ctp::buggy(&ctp::CtpParams::default()).unwrap();
+    c.bench_function("netsim_case3", |b| b.iter(|| run_case3(&program, 3)));
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3));
-    targets = bench_grid_sizes, bench_lossy_links
+    targets = bench_grid_sizes, bench_lossy_links, bench_case3
 }
 criterion_main!(benches);

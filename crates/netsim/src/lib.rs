@@ -12,6 +12,17 @@
 //! Determinism: given the same programs, node configs, topology and seeds,
 //! a simulation replays bit-identically — every experiment in the
 //! reproduction is exactly re-runnable.
+//!
+//! Scheduling: the engine always advances the laggard node, but almost
+//! every such step lands on a node with nothing to do before its next
+//! timer or packet (a 15 s case-III run takes about 1.07 M steps, and
+//! fewer than 2 k of them reach a node with work). [`NetSim::run`]
+//! applies those steps to a clock array without touching the node, and
+//! skips whole repetitions of a recurring idle pattern at once. Skipping
+//! is exact: every trace, delivery, loss draw and final node cycle is the
+//! one a plain step-by-step scan produces, and a property test checks
+//! exactly that against a verbatim copy of the scan. See [`NetSim::run`]
+//! for why.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,11 +5,16 @@
 //! where the lookahead is bounded by the smallest link latency. Packets a
 //! node transmits are collected after each advance window and scheduled
 //! into the receivers' device queues at `send + airtime + link latency`,
-//! which the lookahead guarantees is never in a receiver's past.
+//! which the lookahead guarantees is never in a receiver's past. Steps
+//! that would only move a parked node's clock are kept in the scheduler's
+//! own clock array, and recurring runs of them are skipped whole; the
+//! resulting schedule is exactly the step-by-step one (see
+//! [`NetSim::run`]).
 
 use crate::topology::{Topology, TopologyError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -249,6 +254,39 @@ impl NetSim {
     /// then flushes every node's final trace segment. Call once per
     /// simulation.
     ///
+    /// # Schedule
+    ///
+    /// Each step advances the laggard: the active node (not halted, below
+    /// `until`) with the smallest cycle, the lowest id on ties. It runs
+    /// to `cap = min(second + lookahead, until)`, where `second` is the
+    /// next-smallest active cycle (`until` if it is alone), and its
+    /// transmissions are routed before the next step.
+    ///
+    /// Most steps land on a parked node ([`Node::parked_until`]), for
+    /// which `advance(cap)` would only set its cycle to `cap`. Those
+    /// steps touch only the scheduler's clock array, and recurring runs
+    /// of them are skipped whole. The schedule stays exactly that of a
+    /// step-by-step scan (every trace, delivery, loss draw and final node
+    /// cycle) because:
+    ///
+    /// - a parked node's own cycle may lag its schedule clock, but its
+    ///   next real `advance` starts from the lagging cycle and parks at
+    ///   the same next-event cycle, since nothing is due before it;
+    /// - a packet routed to a parked node arrives after the node's
+    ///   schedule clock, since the lookahead is shorter than every link
+    ///   latency, and the receiver's parked cycle is refreshed after
+    ///   routing;
+    /// - while every cap stays below `until` and at or below the parked
+    ///   cycle of the node it lands on, a step depends only on the
+    ///   clocks' offsets from the laggard and on node ids. Once a run of
+    ///   parked steps returns to an earlier arrangement (queue order and
+    ///   offsets), it repeats with a fixed shift, and as many whole
+    ///   repetitions are skipped as keep every skipped cap within both
+    ///   bounds;
+    /// - real steps, routing and loss draws happen in the scan's global
+    ///   order, and before `run` returns, on a fault too, every lagging
+    ///   node is parked up to its clock.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::SinkCountMismatch`] if `sinks.len()` differs
@@ -261,39 +299,57 @@ impl NetSim {
                 sinks: sinks.len(),
             });
         }
-        loop {
-            // Pick the laggard among nodes still below `until` and not
-            // halted.
-            let mut laggard: Option<(usize, u64)> = None;
-            let mut second = until;
-            for (i, n) in self.nodes.iter().enumerate() {
-                if n.halted() || n.cycle() >= until {
-                    continue;
-                }
-                match laggard {
-                    None => laggard = Some((i, n.cycle())),
-                    Some((_, c)) if n.cycle() < c => {
-                        second = c;
-                        laggard = Some((i, n.cycle()));
-                    }
-                    Some(_) => second = second.min(n.cycle()),
-                }
-            }
-            let Some((idx, _)) = laggard else { break };
+        let mut clocks = Clocks::new(&self.nodes, until);
+        let mut period = Period::default();
+        while let Some(&idx) = clocks.queue.front() {
+            let second = clocks.queue.get(1).map_or(until, |&j| clocks.clock[j]);
             let cap = second.saturating_add(self.lookahead).min(until);
-            let node_id = idx as u16;
+            if clocks.parked[idx].is_some_and(|p| cap <= p) {
+                clocks.step(idx, cap, cap < until);
+                if let Some(shift) = period.observe(&clocks) {
+                    clocks.jump(shift, until);
+                    period = Period::default();
+                }
+                continue;
+            }
+            period = Period::default();
+            let routed = self.deliveries.len();
             if let Err(error) = self.nodes[idx].advance(cap, &mut sinks[idx]) {
+                self.catch_up(&clocks.clock, sinks);
                 return Err(SimError::NodeFault {
-                    node: node_id,
+                    node: idx as u16,
                     error,
                 });
             }
             self.route_outbox(idx);
+            clocks.parked[idx] = self.nodes[idx].parked_until();
+            for d in &self.deliveries[routed..] {
+                if !d.dropped {
+                    clocks.parked[d.to as usize] = self.nodes[d.to as usize].parked_until();
+                }
+            }
+            let cycle = self.nodes[idx].cycle();
+            clocks.step(idx, cycle, cycle < until && !self.nodes[idx].halted());
         }
+        self.catch_up(&clocks.clock, sinks);
         for (node, sink) in self.nodes.iter_mut().zip(sinks.iter_mut()) {
             node.finish(sink);
         }
         Ok(())
+    }
+
+    /// Parks every node whose own cycle lags its schedule clock up to
+    /// that clock. Such a node took only parked steps since its last real
+    /// one, and no delivery lands at or before its clock, so the call
+    /// moves its cycle and nothing else.
+    fn catch_up<S: TraceSink>(&mut self, clock: &[u64], sinks: &mut [S]) {
+        for ((node, sink), &c) in self.nodes.iter_mut().zip(sinks.iter_mut()).zip(clock) {
+            if node.cycle() < c {
+                debug_assert!(node.parked_until().is_some_and(|p| c <= p));
+                let parked = node.advance(c, sink);
+                debug_assert!(parked.is_ok(), "a parked node cannot fault");
+            }
+        }
     }
 
     /// Routes packets transmitted by node `idx` to their receivers.
@@ -339,11 +395,460 @@ impl NetSim {
     }
 }
 
+/// The scheduler's view of one [`NetSim::run`]: every node's schedule
+/// clock and parked cycle, and the active nodes in schedule order.
+struct Clocks {
+    /// The cycle each node has reached in the schedule. A parked node's
+    /// own cycle may lag it until [`NetSim::catch_up`].
+    clock: Vec<u64>,
+    /// Each node's [`Node::parked_until`], refreshed whenever the node
+    /// ran or received a packet.
+    parked: Vec<Option<u64>>,
+    /// Active nodes (not halted, clock below `until`) sorted by
+    /// `(clock, id)`: the front is the laggard.
+    queue: VecDeque<usize>,
+}
+
+impl Clocks {
+    fn new(nodes: &[Node], until: u64) -> Clocks {
+        let clock: Vec<u64> = nodes.iter().map(Node::cycle).collect();
+        let mut queue: Vec<usize> = (0..nodes.len())
+            .filter(|&i| !nodes[i].halted() && clock[i] < until)
+            .collect();
+        queue.sort_by_key(|&i| (clock[i], i));
+        Clocks {
+            parked: nodes.iter().map(Node::parked_until).collect(),
+            clock,
+            queue: queue.into(),
+        }
+    }
+
+    /// Moves the laggard `idx` to `cycle`, re-queueing it if it is still
+    /// `active`.
+    fn step(&mut self, idx: usize, cycle: u64, active: bool) {
+        debug_assert_eq!(self.queue.front(), Some(&idx));
+        self.queue.pop_front();
+        self.clock[idx] = cycle;
+        if active {
+            let key = (cycle, idx);
+            let at = self.queue.partition_point(|&j| (self.clock[j], j) < key);
+            self.queue.insert(at, idx);
+        }
+    }
+
+    /// Skips whole repetitions of a stretch of parked steps whose
+    /// arrangement recurred `shift` cycles later. Every active node took
+    /// a step in the stretch, and its clock is the highest cap it got
+    /// there, so after `k` more repetitions its highest cap is
+    /// `clock + k * shift`. `k` is the largest count keeping that at or
+    /// below the node's parked cycle and below `until` for every node.
+    fn jump(&mut self, shift: u64, until: u64) {
+        let Some(k) = self
+            .queue
+            .iter()
+            .map(|&i| self.parked[i].map_or(0, |p| (p.min(until - 1) - self.clock[i]) / shift))
+            .min()
+        else {
+            return;
+        };
+        for &i in &self.queue {
+            self.clock[i] += k * shift;
+        }
+    }
+}
+
+/// Recurrence detector for stretches of parked steps (Brent's cycle
+/// finding): it keeps one snapshot of the queue order and each clock's
+/// offset from the laggard, retaken after 1, 2, 4, ... steps, and
+/// reports the laggard's shift when the current arrangement equals it.
+#[derive(Default)]
+struct Period {
+    /// `(node, clock - laggard clock)` per queue position.
+    snapshot: Vec<(usize, u64)>,
+    /// The laggard's clock when the snapshot was taken.
+    front: u64,
+    /// Steps since the snapshot, and the count that retakes it.
+    steps: usize,
+    limit: usize,
+}
+
+impl Period {
+    /// Records the arrangement after a parked step. Returns the shift
+    /// when it equals the snapshot.
+    fn observe(&mut self, clocks: &Clocks) -> Option<u64> {
+        let front = clocks.clock[*clocks.queue.front()?];
+        let arrangement = clocks.queue.iter().map(|&i| (i, clocks.clock[i] - front));
+        if !self.snapshot.is_empty() {
+            self.steps += 1;
+            if front > self.front && arrangement.clone().eq(self.snapshot.iter().copied()) {
+                return Some(front - self.front);
+            }
+            if self.steps < self.limit {
+                return None;
+            }
+        }
+        self.snapshot.clear();
+        self.snapshot.extend(arrangement);
+        self.front = front;
+        self.limit = (2 * self.limit).max(1);
+        self.steps = 0;
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::LinkConfig;
-    use tinyvm::NullSink;
+    use crate::topology::{LinkConfig, MIN_LINK_LATENCY};
+    use proptest::prelude::*;
+    use tinyvm::{LifecycleItem, NullSink, TimingModel};
+
+    impl NetSim {
+        /// The scan-loop scheduler `run` replaced, kept verbatim as the
+        /// exactness reference: every step rescans all nodes for the
+        /// laggard and calls `advance` on it, parked or not.
+        fn run_reference<S: TraceSink>(
+            &mut self,
+            until: u64,
+            sinks: &mut [S],
+        ) -> Result<(), SimError> {
+            if sinks.len() != self.nodes.len() {
+                return Err(SimError::SinkCountMismatch {
+                    nodes: self.nodes.len(),
+                    sinks: sinks.len(),
+                });
+            }
+            loop {
+                // Pick the laggard among nodes still below `until` and not
+                // halted.
+                let mut laggard: Option<(usize, u64)> = None;
+                let mut second = until;
+                for (i, n) in self.nodes.iter().enumerate() {
+                    if n.halted() || n.cycle() >= until {
+                        continue;
+                    }
+                    match laggard {
+                        None => laggard = Some((i, n.cycle())),
+                        Some((_, c)) if n.cycle() < c => {
+                            second = c;
+                            laggard = Some((i, n.cycle()));
+                        }
+                        Some(_) => second = second.min(n.cycle()),
+                    }
+                }
+                let Some((idx, _)) = laggard else { break };
+                let cap = second.saturating_add(self.lookahead).min(until);
+                let node_id = idx as u16;
+                if let Err(error) = self.nodes[idx].advance(cap, &mut sinks[idx]) {
+                    return Err(SimError::NodeFault {
+                        node: node_id,
+                        error,
+                    });
+                }
+                self.route_outbox(idx);
+            }
+            for (node, sink) in self.nodes.iter_mut().zip(sinks.iter_mut()) {
+                node.finish(sink);
+            }
+            Ok(())
+        }
+    }
+
+    /// Records every lifecycle item and segment a node emits.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct VecSink {
+        items: Vec<(u64, LifecycleItem)>,
+        segments: Vec<Vec<u32>>,
+    }
+
+    impl TraceSink for VecSink {
+        fn lifecycle(&mut self, cycle: u64, item: LifecycleItem) {
+            self.items.push((cycle, item));
+        }
+        fn segment(&mut self, counts: &[u32]) {
+            self.segments.push(counts.to_vec());
+        }
+    }
+
+    /// What a node program does in a generated network.
+    #[derive(Debug, Clone, Copy)]
+    enum Role {
+        /// Broadcasts its id every `period` ticks and counts what it hears.
+        Beacon,
+        /// Unicasts its id to node 1 every `period` ticks.
+        Sender,
+        /// Echoes every received word to the UART; never sets a timer.
+        Receiver,
+        /// Sleeps in `main`, woken by its timer, forever.
+        Sleeper,
+        /// Halts inside its timer handler on the `k`-th tick.
+        Halter,
+        /// Floods its task queue on the `k`-th tick and faults.
+        Faulter,
+    }
+
+    fn role_source(role: Role, period: u16, k: u16) -> String {
+        let timer = format!(
+            "\
+ ldi r1, {period}
+ out TIMER0_PERIOD, r1
+ ldi r1, 1
+ out TIMER0_CTRL, r1
+"
+        );
+        match role {
+            Role::Beacon => format!(
+                "\
+.handler TIMER0 beat
+.handler RX on_rx
+.data heard 1
+main:
+{timer} ret
+beat:
+ in r2, NODE_ID
+ out RADIO_TX_PUSH, r2
+ ldi r3, 0xFFFF
+ out RADIO_SEND, r3
+ reti
+on_rx:
+ in r1, RADIO_RX_POP
+ lda r2, heard
+ addi r2, 1
+ sta heard, r2
+ reti
+"
+            ),
+            Role::Sender => format!(
+                "\
+.handler TIMER0 fire
+main:
+{timer} ret
+fire:
+ in r2, NODE_ID
+ out RADIO_TX_PUSH, r2
+ ldi r3, 1
+ out RADIO_SEND, r3
+ reti
+"
+            ),
+            Role::Receiver => "\
+.handler RX on_rx
+main:
+ ret
+on_rx:
+ in r1, RADIO_RX_POP
+ out UART_OUT, r1
+ reti
+"
+            .to_string(),
+            Role::Sleeper => format!(
+                "\
+.handler TIMER0 tick
+.data ticks 1
+main:
+{timer}nap:
+ sleep
+ lda r2, ticks
+ out UART_OUT, r2
+ jmp nap
+tick:
+ lda r2, ticks
+ addi r2, 1
+ sta ticks, r2
+ reti
+"
+            ),
+            Role::Halter => format!(
+                "\
+.handler TIMER0 tick
+.data left 1
+main:
+ ldi r1, {k}
+ sta left, r1
+{timer} ret
+tick:
+ lda r2, left
+ subi r2, 1
+ sta left, r2
+ brne keep
+ halt
+keep:
+ reti
+"
+            ),
+            Role::Faulter => format!(
+                "\
+.handler TIMER0 tick
+.task t
+.data left 1
+main:
+ ldi r1, {k}
+ sta left, r1
+{timer} ret
+tick:
+ lda r2, left
+ subi r2, 1
+ sta left, r2
+ brne keep
+flood:
+ post t
+ jmp flood
+keep:
+ post t
+ reti
+t:
+ ret
+"
+            ),
+        }
+    }
+
+    fn role() -> impl Strategy<Value = Role> {
+        prop_oneof![
+            Just(Role::Beacon),
+            Just(Role::Sender),
+            Just(Role::Receiver),
+            Just(Role::Sleeper),
+            Just(Role::Halter),
+            Just(Role::Faulter),
+        ]
+    }
+
+    /// The undirected edges of a generated topology over `n` nodes.
+    fn edges(shape: u8, n: u16, extra: &[(u16, u16)]) -> Vec<(u16, u16)> {
+        match shape {
+            // Chain.
+            0 => (1..n).map(|i| (i - 1, i)).collect(),
+            // Star around node 0.
+            1 => (1..n).map(|i| (0, i)).collect(),
+            // Grid, three columns wide.
+            2 => (0..n)
+                .flat_map(|i| {
+                    let right = (i % 3 != 2 && i + 1 < n).then_some((i, i + 1));
+                    let down = (i + 3 < n).then_some((i, i + 3));
+                    right.into_iter().chain(down)
+                })
+                .collect(),
+            // Random.
+            _ => {
+                let mut out: Vec<(u16, u16)> = Vec::new();
+                for &(a, b) in extra {
+                    let (a, b) = (a % n, b % n);
+                    let e = (a.min(b), a.max(b));
+                    if a != b && !out.contains(&e) {
+                        out.push(e);
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// A generated network: its shape, per-node roles, timer periods,
+    /// tick counts and timing models, per-link latency and loss, and the
+    /// loss seed.
+    #[derive(Debug, Clone)]
+    struct Network {
+        shape: u8,
+        nodes: Vec<(Role, u16, u16, bool)>,
+        extra: Vec<(u16, u16)>,
+        links: Vec<(u64, f64)>,
+        seed: u64,
+    }
+
+    fn network() -> impl Strategy<Value = Network> {
+        (
+            0u8..4,
+            prop::collection::vec((role(), 1u16..120, 1u16..100, any::<bool>()), 1..10),
+            prop::collection::vec((0u16..16, 0u16..16), 0..14),
+            prop::collection::vec((MIN_LINK_LATENCY..2_001, 0.0f64..0.5), 1..8),
+            any::<u64>(),
+        )
+            .prop_map(|(shape, nodes, extra, links, seed)| Network {
+                shape,
+                nodes,
+                extra,
+                links,
+                seed,
+            })
+    }
+
+    fn build(net: &Network) -> NetSim {
+        let n = net.nodes.len() as u16;
+        let mut topo = Topology::new(n);
+        for (i, (a, b)) in edges(net.shape, n, &net.extra).into_iter().enumerate() {
+            let (latency_cycles, loss_prob) = net.links[i % net.links.len()];
+            topo.connect(
+                a,
+                b,
+                LinkConfig {
+                    latency_cycles,
+                    loss_prob,
+                },
+            )
+            .unwrap();
+        }
+        let mut sim = NetSim::new(topo, net.seed);
+        for (id, &(role, period, k, zero_cost)) in net.nodes.iter().enumerate() {
+            let program = Arc::new(tinyvm::assemble(&role_source(role, period, k)).unwrap());
+            sim.add_node(
+                program,
+                NodeConfig {
+                    node_id: id as u16,
+                    seed: net.seed.wrapping_add(id as u64),
+                    timing: if zero_cost {
+                        TimingModel::ZeroCostEvents
+                    } else {
+                        TimingModel::CycleAccurate
+                    },
+                    ..NodeConfig::default()
+                },
+            )
+            .unwrap();
+        }
+        sim
+    }
+
+    /// Horizons: 0, 1, below every lookahead (which is at least
+    /// `MIN_LINK_LATENCY - LOOKAHEAD_SLACK`), or, five times in eight,
+    /// anywhere up to 2M.
+    fn horizon() -> impl Strategy<Value = u64> {
+        let below = MIN_LINK_LATENCY - LOOKAHEAD_SLACK;
+        (0u8..8, 0u64..2_000_001).prop_map(move |(kind, v)| match kind {
+            0 => 0,
+            1 => 1,
+            2 => 2 + v % (below - 2),
+            _ => v,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `run` and the scan-loop reference produce the same traces,
+        /// deliveries, final node states and result on any network.
+        #[test]
+        fn run_matches_the_scan_loop_reference(net in network(), until in horizon()) {
+            let mut fast = build(&net);
+            let mut slow = build(&net);
+            let n = net.nodes.len();
+            let mut fast_sinks = vec![VecSink::default(); n];
+            let mut slow_sinks = vec![VecSink::default(); n];
+            let fast_result = fast.run(until, &mut fast_sinks);
+            let slow_result = slow.run_reference(until, &mut slow_sinks);
+            prop_assert_eq!(&fast_result, &slow_result);
+            prop_assert_eq!(fast.deliveries(), slow.deliveries());
+            for id in 0..n as u16 {
+                let (a, b) = (fast.node(id), slow.node(id));
+                prop_assert_eq!(&fast_sinks[id as usize], &slow_sinks[id as usize], "node {}", id);
+                prop_assert_eq!(a.cycle(), b.cycle(), "node {} cycle", id);
+                prop_assert_eq!(a.instructions_retired(), b.instructions_retired());
+                prop_assert_eq!(a.uart(), b.uart());
+                prop_assert_eq!(a.halted(), b.halted());
+                prop_assert_eq!(a.fault(), b.fault());
+            }
+        }
+    }
 
     fn sender_program() -> Arc<Program> {
         Arc::new(

@@ -120,12 +120,39 @@ impl Node {
         self.devices.inject_rx(at_cycle, packet);
     }
 
-    /// The earliest cycle at which the node has work, if it is currently
-    /// unable to execute instructions (idle or sleeping): the next device
-    /// event. Returns `None` when the node is runnable right now or
-    /// permanently out of work.
-    pub fn next_wake_cycle(&self) -> Option<u64> {
-        self.devices.next_event_cycle()
+    /// The cycle up to which [`Node::advance`] would do nothing but move
+    /// the clock, or `None` when the node has work now.
+    ///
+    /// `Some(c)` means the node is parked: it is neither halted nor
+    /// executing, no interrupt line is pending, it cannot start a task,
+    /// and its next device event is at `c`, after its current cycle
+    /// (`u64::MAX` when no event is scheduled). For every `limit <= c`,
+    /// `advance(limit)` then runs only its final "park until the next
+    /// event" branch: it emits no lifecycle item, retires no
+    /// instruction, leaves every device untouched and ends at
+    /// `max(cycle, limit)`. A run of such calls with growing limits can
+    /// therefore be replaced by one call to the last limit. Any pending
+    /// line makes the answer `None`, even one `advance` would only drop,
+    /// which is conservative.
+    pub fn parked_until(&self) -> Option<u64> {
+        if self.halted() || self.cpu.runnable() || self.devices.has_pending() || self.can_run_task()
+        {
+            return None;
+        }
+        match self.devices.next_event_cycle() {
+            Some(c) if c <= self.cycle => None,
+            Some(c) => Some(c),
+            None => Some(u64::MAX),
+        }
+    }
+
+    /// Whether the scheduler may dequeue a task now: no base context or
+    /// handler is executing, the CPU is awake and the queue is non-empty.
+    fn can_run_task(&self) -> bool {
+        !self.cpu.is_active()
+            && self.cpu.int_depth() == 0
+            && !self.cpu.sleeping
+            && !self.task_queue.is_empty()
     }
 
     fn current_owner(&self) -> Option<InstanceId> {
@@ -251,11 +278,7 @@ impl Node {
             }
 
             // Not runnable: idle (scheduler context) or sleeping.
-            let can_run_task = !self.cpu.is_active()
-                && self.cpu.int_depth() == 0
-                && !self.cpu.sleeping
-                && !self.task_queue.is_empty();
-            if can_run_task {
+            if self.can_run_task() {
                 let (task, owner) = self.task_queue.pop_front().expect("checked non-empty");
                 self.emit(sink, LifecycleItem::RunTask(task));
                 let entry = self.program.tasks[task.index()].entry;
@@ -268,6 +291,8 @@ impl Node {
             }
 
             // Park until the next device event (or the limit).
+            // `parked_until` must keep describing exactly when this is
+            // all an `advance` call does.
             match self.devices.next_event_cycle() {
                 Some(c) if c <= self.cycle => {
                     // Defensive: events due now are processed next turn.

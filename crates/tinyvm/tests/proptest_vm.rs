@@ -1,12 +1,13 @@
 //! Property tests for the VM core: arithmetic against a Rust reference
-//! model, stack discipline, assembler/encoder agreement, and determinism
-//! under randomized device timing.
+//! model, stack discipline, assembler/encoder agreement, determinism
+//! under randomized device timing, and the soundness of
+//! `Node::parked_until`.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tinyvm::devices::NodeConfig;
 use tinyvm::node::Node;
-use tinyvm::{assemble, NullSink};
+use tinyvm::{assemble, LifecycleItem, NullSink, Packet, Program, TraceSink};
 
 /// Straight-line arithmetic ops our reference model mirrors.
 #[derive(Debug, Clone, Copy)]
@@ -235,5 +236,126 @@ proptest! {
         // The disassembly mentions every op's mnemonic line count.
         let listing = tinyvm::disassemble(&program);
         prop_assert_eq!(listing.lines().filter(|l| l.starts_with("  ")).count(), program.len());
+    }
+}
+
+/// Records every lifecycle item and segment a node emits.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct VecSink {
+    items: Vec<(u64, LifecycleItem)>,
+    segments: Vec<Vec<u32>>,
+}
+
+impl TraceSink for VecSink {
+    fn lifecycle(&mut self, cycle: u64, item: LifecycleItem) {
+        self.items.push((cycle, item));
+    }
+    fn segment(&mut self, counts: &[u32]) {
+        self.segments.push(counts.to_vec());
+    }
+}
+
+/// A timer handler posting a task of random length and an RX handler;
+/// with `sleepy`, `main` instead sleeps between ticks and never returns
+/// to the scheduler, so the handler posts nothing.
+fn parking_program(period: u16, sleepy: bool) -> Arc<Program> {
+    let (main_tail, post) = if sleepy {
+        ("nap:\n sleep\n jmp nap\n", "")
+    } else {
+        (" ret\n", " post t\n")
+    };
+    Arc::new(
+        assemble(&format!(
+            "\
+.handler TIMER0 h
+.handler RX on_rx
+.task t
+main:
+ ldi r1, {period}
+ out TIMER0_PERIOD, r1
+ ldi r1, 1
+ out TIMER0_CTRL, r1
+{main_tail}h:
+{post} reti
+on_rx:
+ in r1, RADIO_RX_POP
+ out UART_OUT, r1
+ reti
+t:
+ in r4, RAND
+ ldi r5, 63
+ and r4, r5
+ addi r4, 1
+spin:
+ subi r4, 1
+ brne spin
+ ret
+"
+        ))
+        .unwrap(),
+    )
+}
+
+/// Cycles each `parked_until` case emulates.
+const PARK_HORIZON: u64 = 200_000;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whenever `parked_until` is `Some(c)`, advancing a clone to any
+    /// `limit <= c` emits nothing, retires nothing and ends at
+    /// `max(cycle, limit)`; and the clone's future from there equals the
+    /// original's, so such calls may be deferred or skipped. The node is
+    /// walked one cycle at a time while it has work, so the predicate is
+    /// asked in every state `advance` can stop in: inside a handler or
+    /// task, between a `reti` and the task it posted, with a line pending
+    /// behind the handler in service, and just past a due event.
+    #[test]
+    fn parked_until_promises_a_pure_advance(
+        period in 1u16..60,
+        sleepy in any::<bool>(),
+        seed in any::<u64>(),
+        rx in prop::collection::vec((0u64..PARK_HORIZON, 1u16..4, 1usize..4), 0..12),
+        picks in prop::collection::vec(any::<u64>(), 1..16),
+    ) {
+        let mut node = Node::new(
+            parking_program(period, sleepy),
+            NodeConfig { seed, ..NodeConfig::default() },
+        );
+        for &(at, len, burst) in &rx {
+            for _ in 0..burst {
+                node.inject_rx(at, Packet { src: 9, dest: 0, payload: vec![7; len as usize] });
+            }
+        }
+        let mut picks = picks.iter().cycle();
+        while node.cycle() < PARK_HORIZON {
+            let Some(c) = node.parked_until() else {
+                node.advance(node.cycle() + 1, &mut NullSink).unwrap();
+                continue;
+            };
+            prop_assert!(c > node.cycle());
+            // Mostly limits past the node's cycle, where `advance` would
+            // have time to do work; a few at or before it.
+            let from = node.cycle().saturating_sub(16);
+            let limit = from + picks.next().unwrap() % (c.min(node.cycle() + 100_000) - from + 1);
+            let mut parked = node.clone();
+            let mut sink = VecSink::default();
+            parked.advance(limit, &mut sink).unwrap();
+            prop_assert_eq!(&sink, &VecSink::default());
+            prop_assert_eq!(parked.instructions_retired(), node.instructions_retired());
+            prop_assert_eq!(parked.cycle(), node.cycle().max(limit));
+
+            let horizon = parked.cycle() + 2_000;
+            let mut direct = node.clone();
+            let mut direct_sink = VecSink::default();
+            direct.advance(horizon, &mut direct_sink).unwrap();
+            parked.advance(horizon, &mut sink).unwrap();
+            prop_assert_eq!(&sink, &direct_sink);
+            prop_assert_eq!(parked.cycle(), direct.cycle());
+            prop_assert_eq!(parked.instructions_retired(), direct.instructions_retired());
+            prop_assert_eq!(parked.uart(), direct.uart());
+
+            node.advance(c.min(PARK_HORIZON), &mut NullSink).unwrap();
+        }
     }
 }

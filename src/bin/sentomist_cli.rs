@@ -715,10 +715,13 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 fn cmd_case(args: &[String]) -> Result<(), Box<dyn Error>> {
     use sentomist::apps::{run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config};
-    let which = args
-        .first()
-        .map(String::as_str)
-        .ok_or("case: missing <1|2|3>")?;
+    let (pos, flags) = parse_flags(args);
+    reject_unknown_flags("case", &flags, &[])?;
+    let which = match pos.as_slice() {
+        [which] => which.as_str(),
+        [] => return Err(usage_error("case: missing <1|2|3>".into())),
+        [_, extra, ..] => return Err(usage_error(format!("case: unexpected argument `{extra}`"))),
+    };
     let result = match which {
         "1" => run_case1(&Case1Config::default())?,
         "2" => run_case2(&Case2Config::default())?,

@@ -190,6 +190,44 @@ fn case_subcommand_reproduces_figure_5b() {
     assert!(text.contains("true symptoms at ranks [1, 2, 3]"));
 }
 
+/// `case` takes exactly one positional argument and no flags: a stray
+/// flag or argument must fail with the usage text, not print the
+/// default ranking.
+#[test]
+fn case_rejects_flags_and_extra_arguments() {
+    for (args, message) in [
+        (vec!["case", "2", "--bogus"], "unknown flag `--bogus`"),
+        (vec!["case", "3", "--seed"], "unknown flag `--seed`"),
+        (vec!["case", "3", "--seed", "7"], "unknown flag `--seed`"),
+        (vec!["case", "2", "extra"], "unexpected argument `extra`"),
+        (vec!["case"], "case: missing <1|2|3>"),
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        assert!(
+            !out.status.success(),
+            "`sentomist {}` should exit nonzero",
+            args.join(" ")
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(message),
+            "`sentomist {}` stderr lacks `{message}`:\n{stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains("USAGE:"),
+            "`sentomist {}` stderr lacks the usage text:\n{stderr}",
+            args.join(" ")
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "`sentomist {}` printed a ranking: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
 #[test]
 fn assembly_error_reports_line() {
     let dir = workdir("cli-asm-error");
