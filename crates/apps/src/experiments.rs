@@ -11,9 +11,7 @@ use crate::{ctp, forwarder, oscilloscope};
 use mlcore::{
     EnsembleDetector, KdeDetector, KfdDetector, KnnDetector, MahalanobisDetector, PcaDetector,
 };
-use sentomist_core::campaign::{
-    run_campaign, CampaignOptions, CampaignResult, RunOutcome, Verdict,
-};
+use sentomist_core::campaign::{RunOutcome, Verdict};
 use sentomist_core::supervise::{RunContext, RunFailure};
 use sentomist_core::{harvest_set, Pipeline, Report, SampleIndex, SampleSet};
 use sentomist_trace::{EventInterval, Recorder, Trace};
@@ -750,70 +748,26 @@ pub fn effort_summary(result: &CaseResult) -> EffortSummary {
 // unless we generate a variety of random interleaving scenarios")
 // ---------------------------------------------------------------------
 
-/// Builds a reusable per-seed campaign job for the case-I trigger
-/// experiment: one `run_seconds`-second run of the buggy Oscilloscope at
-/// sampling period `period_ms`, mined in isolation with an OC-SVM(ν).
-///
-/// The program is assembled once, up front; the returned closure only
-/// shares that immutable program, so `run_campaign` can drive it from any
-/// number of worker threads.
-///
-/// # Errors
-///
-/// Fails if the Oscilloscope program does not assemble.
-pub fn trigger_job(
-    period_ms: u32,
-    run_seconds: u64,
-    nu: f64,
-) -> Result<impl Fn(u64) -> Result<RunOutcome, String> + Send + Sync, Box<dyn Error>> {
-    let job = trigger_job_traced(period_ms, run_seconds, nu)?;
-    Ok(move |seed: u64| job(seed).map(|(outcome, _)| outcome))
-}
-
-/// Like [`trigger_job`], but the returned closure also hands back the
-/// recorded trace so a campaign can persist it to a trace store.
-///
-/// # Errors
-///
-/// Fails if the Oscilloscope program does not assemble.
-#[allow(clippy::type_complexity)]
-pub fn trigger_job_traced(
-    period_ms: u32,
-    run_seconds: u64,
-    nu: f64,
-) -> Result<impl Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync, Box<dyn Error>>
-{
-    let params = oscilloscope::OscilloscopeParams::with_period_ms(period_ms);
-    let program = oscilloscope::buggy(&params)?;
-    Ok(move |seed: u64| {
-        let mut node = Node::new(
-            program.clone(),
-            NodeConfig {
-                seed,
-                ..NodeConfig::default()
-            },
-        );
-        let mut recorder = Recorder::new(program.len());
-        node.run(run_seconds * CYCLES_PER_SECOND, &mut recorder)
-            .map_err(|e| e.to_string())?;
-        let trace = recorder.into_trace();
-        let outcome = mine_trigger_trace(seed, &trace, nu)?;
-        Ok((outcome, vec![trace]))
-    })
-}
-
-/// Cycles emulated between supervisor checks in
-/// [`trigger_job_traced_ctx`]. Small enough that a watchdog cancellation
-/// or cycle-budget exhaustion is honored promptly, large enough that the
-/// checks cost nothing against real emulation work.
+/// Cycles emulated between supervisor checks in [`trigger_job`]. Small
+/// enough that a watchdog cancellation or cycle-budget exhaustion is
+/// honored promptly, large enough that the checks cost nothing against
+/// real emulation work.
 const SUPERVISE_SLICE_CYCLES: u64 = 1_000_000;
 
-/// Like [`trigger_job_traced`], but cooperative with the supervised
-/// runner: the emulation advances in [`SUPERVISE_SLICE_CYCLES`] slices and
-/// checks the [`RunContext`] between slices, so a watchdog cancellation
-/// stops a runaway run mid-flight and an optional cycle budget caps how
-/// long the run may emulate. Slicing does not change the machine state —
-/// the recorded trace is bit-identical to a single `Node::run` call.
+/// Builds the per-seed campaign job for the case-I trigger experiment:
+/// one `run_seconds`-second run of the buggy Oscilloscope at sampling
+/// period `period_ms`, mined in isolation with an OC-SVM(ν), handing
+/// back the outcome and the recorded trace (for campaigns that persist
+/// it to a trace store).
+///
+/// The program is assembled once, up front; the returned closure only
+/// shares that immutable program, so the supervised pool can drive it
+/// from any number of worker threads. The emulation advances in
+/// one-million-cycle slices and checks the [`RunContext`] between
+/// slices, so a watchdog cancellation stops a runaway run mid-flight and
+/// an optional cycle budget caps how long the run may emulate. Slicing
+/// does not change the machine state — the recorded trace is
+/// bit-identical to a single `Node::run` call.
 ///
 /// Machine faults and mining failures are deterministic for a given seed,
 /// so they surface as [`RunFailure::Fatal`] (retrying cannot help);
@@ -823,7 +777,7 @@ const SUPERVISE_SLICE_CYCLES: u64 = 1_000_000;
 ///
 /// Fails if the Oscilloscope program does not assemble.
 #[allow(clippy::type_complexity)]
-pub fn trigger_job_traced_ctx(
+pub fn trigger_job(
     period_ms: u32,
     run_seconds: u64,
     nu: f64,
@@ -913,106 +867,6 @@ pub fn mine_trigger_trace(seed: u64, trace: &Trace, nu: f64) -> Result<RunOutcom
         trace_digest: format!("{trace_digest:016x}"),
         wall_time_ms: 0,
     })
-}
-
-/// Runs `runs` independent case-I testing runs (sampling period
-/// `period_ms`, 10 s each, seeds `base_seed..base_seed + runs`) and mines
-/// each in isolation — measuring both the per-run trigger probability of
-/// the race and the per-run mining success. Work is spread over
-/// `options.threads` workers; the result is deterministic regardless of
-/// the thread count.
-///
-/// # Errors
-///
-/// Fails if the Oscilloscope program does not assemble; per-seed VM,
-/// extraction and pipeline failures land in the result's `errors` list.
-pub fn run_trigger_campaign(
-    period_ms: u32,
-    runs: u64,
-    base_seed: u64,
-    nu: f64,
-    options: CampaignOptions,
-) -> Result<CampaignResult, Box<dyn Error>> {
-    let job = trigger_job(period_ms, 10, nu)?;
-    let seeds: Vec<u64> = (0..runs).map(|i| base_seed + i).collect();
-    Ok(run_campaign(&seeds, options, job))
-}
-
-/// Wraps case study I as a per-seed campaign job: each seed reruns the
-/// whole case (every sampling period) with the configuration's seed
-/// replaced.
-pub fn case1_job(config: Case1Config) -> impl Fn(u64) -> Result<RunOutcome, String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case1(&c)
-            .map(|r| r.to_outcome(seed))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Wraps case study II (CTP in-network aggregation) as a per-seed
-/// campaign job.
-pub fn case2_job(config: Case2Config) -> impl Fn(u64) -> Result<RunOutcome, String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case2(&c)
-            .map(|r| r.to_outcome(seed))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Wraps case study III (packet forwarder overflow) as a per-seed
-/// campaign job.
-pub fn case3_job(config: Case3Config) -> impl Fn(u64) -> Result<RunOutcome, String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case3(&c)
-            .map(|r| r.to_outcome(seed))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Trace-returning variant of [`case1_job`], for campaigns that persist
-/// their runs to a trace store.
-pub fn case1_job_traced(
-    config: Case1Config,
-) -> impl Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case1_traced(&c)
-            .map(|(r, traces)| (r.to_outcome(seed), traces))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Trace-returning variant of [`case2_job`].
-pub fn case2_job_traced(
-    config: Case2Config,
-) -> impl Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case2_traced(&c)
-            .map(|(r, traces)| (r.to_outcome(seed), traces))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Trace-returning variant of [`case3_job`].
-pub fn case3_job_traced(
-    config: Case3Config,
-) -> impl Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync {
-    move |seed| {
-        let mut c = config.clone();
-        c.seed = seed;
-        run_case3_traced(&c)
-            .map(|(r, traces)| (r.to_outcome(seed), traces))
-            .map_err(|e| e.to_string())
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //!
 //! * [`Mode`] — a campaign mode with its parameters fully resolved (the
 //!   trigger experiment or one of the three case studies), able to build
-//!   the per-seed emulate-and-mine jobs, the store re-mining stage, the
+//!   the per-seed emulate-and-mine job, the store re-mining stage, the
 //!   program digest and the serialized `config` block;
 //! * [`Mode::from_campaign`] — resolves the identical mode back out of a
 //!   stored [`CampaignManifest`], so a corpus re-mines with the
@@ -23,13 +23,13 @@
 //!   document), returning the exact bytes every front end must emit.
 
 use crate::experiments::{
-    case1_job_traced, case2_job_traced, case3_job_traced, mine_case1, mine_case2, mine_case3,
-    mine_trigger_trace, trigger_job_traced, trigger_job_traced_ctx,
+    mine_case1, mine_case2, mine_case3, mine_trigger_trace, run_case1_traced, run_case2_traced,
+    run_case3_traced, trigger_job,
 };
-use crate::{ctp, forwarder, oscilloscope, Case1Config, Case2Config, Case3Config};
+use crate::{ctp, forwarder, oscilloscope, Case1Config, Case2Config, Case3Config, CaseResult};
 use sentomist_core::campaign::{CampaignResult, FailureKind, RunError, RunOutcome};
 use sentomist_core::supervise::{RunContext, RunFailure};
-use sentomist_core::{mine_store_with, MineOptions, QuarantinedRun};
+use sentomist_core::{mine_store, QuarantinedRun};
 use sentomist_trace::Trace;
 use sentomist_tracestore::{CampaignManifest, TraceStore};
 use serde::{Serialize, Value};
@@ -74,12 +74,9 @@ impl From<sentomist_tracestore::StoreError> for JobError {
     }
 }
 
-/// A plain per-seed campaign job: seed in, outcome out.
-pub type CampaignJob = Box<dyn Fn(u64) -> Result<RunOutcome, String> + Send + Sync>;
-/// A per-seed job that also hands back the run's recorded traces.
-pub type TracedJob = Box<dyn Fn(u64) -> Result<(RunOutcome, Vec<Trace>), String> + Send + Sync>;
-/// A supervised traced job: takes a [`RunContext`] so the watchdog can
-/// cancel it cooperatively.
+/// The per-seed campaign job: takes a [`RunContext`] so the watchdog can
+/// cancel it cooperatively, and hands back the run's outcome together
+/// with its recorded traces.
 pub type SupervisedTracedJob =
     Box<dyn Fn(&RunContext) -> Result<(RunOutcome, Vec<Trace>), RunFailure> + Send + Sync>;
 /// The mining stage alone, applied to a stored run's decoded traces.
@@ -232,29 +229,12 @@ impl Mode {
         }
     }
 
-    /// The per-seed emulate-and-mine job that also hands back the run's
-    /// recorded traces.
-    ///
-    /// # Errors
-    ///
-    /// Program assembly failures while building the job.
-    pub fn traced_job(self) -> Result<TracedJob, JobError> {
-        Ok(match self {
-            Mode::Trigger {
-                period,
-                seconds,
-                nu,
-            } => Box::new(trigger_job_traced(period, seconds, nu)?),
-            Mode::Case1 => Box::new(case1_job_traced(Case1Config::default())),
-            Mode::Case2 => Box::new(case2_job_traced(Case2Config::default())),
-            Mode::Case3 => Box::new(case3_job_traced(Case3Config::default())),
-        })
-    }
-
-    /// The supervised per-seed job: takes a [`RunContext`] so the
-    /// watchdog can cancel it and (trigger mode) a cycle budget can cap
-    /// emulation. Trigger mode is fully cooperative; the case studies
-    /// run to completion and report their errors as retryable.
+    /// The per-seed emulate-and-mine job, which also hands back the
+    /// run's recorded traces — the one job every sweep, replay and daemon
+    /// `Emulate` request runs. It takes a [`RunContext`] so the watchdog
+    /// can cancel it and (trigger mode) a cycle budget can cap emulation.
+    /// Trigger mode is fully cooperative; the case studies run to
+    /// completion and report their errors as retryable.
     ///
     /// # Errors
     ///
@@ -265,28 +245,31 @@ impl Mode {
                 period,
                 seconds,
                 nu,
-            } => Box::new(trigger_job_traced_ctx(period, seconds, nu)?),
-            _ => {
-                let traced = self.traced_job()?;
-                Box::new(move |ctx: &RunContext| traced(ctx.seed()).map_err(RunFailure::Transient))
-            }
+            } => Box::new(trigger_job(period, seconds, nu)?),
+            Mode::Case1 => case_job(|seed| {
+                run_case1_traced(&Case1Config {
+                    seed,
+                    ..Case1Config::default()
+                })
+            }),
+            Mode::Case2 => case_job(|seed| {
+                run_case2_traced(&Case2Config {
+                    seed,
+                    ..Case2Config::default()
+                })
+            }),
+            Mode::Case3 => case_job(|seed| {
+                run_case3_traced(&Case3Config {
+                    seed,
+                    ..Case3Config::default()
+                })
+            }),
         })
     }
 
-    /// The per-seed plain job (traces dropped after mining).
-    ///
-    /// # Errors
-    ///
-    /// Program assembly failures while building the job.
-    pub fn job(self) -> Result<CampaignJob, JobError> {
-        let traced = self.traced_job()?;
-        Ok(Box::new(move |seed| {
-            traced(seed).map(|(outcome, _)| outcome)
-        }))
-    }
-
     /// The mining stage alone, applied to a stored run's decoded traces —
-    /// the same code path [`Mode::traced_job`] runs after emulating.
+    /// the same code path [`Mode::supervised_traced_job`] runs after
+    /// emulating.
     pub fn miner(self) -> StoreMiner {
         match self {
             Mode::Trigger { nu, .. } => Box::new(move |seed, traces: &[Trace]| {
@@ -364,6 +347,21 @@ impl Mode {
             Mode::Case3 => one(&*ctp::buggy(&Case3Config::default().params).map_err(asm)?),
         })
     }
+}
+
+/// A whole case study run under one seed (the default configuration
+/// with its seed replaced), returning the result and recorded traces.
+type CaseRun = fn(u64) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>>;
+
+/// Wraps a case-study run as a supervised job. The case studies run to
+/// completion and report their errors as retryable.
+fn case_job(run: CaseRun) -> SupervisedTracedJob {
+    Box::new(move |ctx: &RunContext| {
+        let seed = ctx.seed();
+        run(seed)
+            .map(|(result, traces)| (result.to_outcome(seed), traces))
+            .map_err(|e| RunFailure::Transient(e.to_string()))
+    })
 }
 
 /// Resolves a bundled case-study program by name — the shared resolver
@@ -501,28 +499,11 @@ pub fn campaign_document(config: CampaignConfig, result: &CampaignResult) -> Val
     ])
 }
 
-/// How a corpus should be re-mined into its campaign document.
-#[derive(Debug, Clone, Copy)]
-pub struct CorpusMineOptions {
-    /// Worker threads for the mining sweep. Never influences the
-    /// document bytes.
-    pub threads: usize,
-    /// Emit per-run progress lines on stderr.
-    pub progress: bool,
-    /// Quarantine-and-continue: set corrupt runs aside instead of
-    /// failing them; adds the opt-in `quarantined` document section.
-    pub quarantine: bool,
-}
-
-impl Default for CorpusMineOptions {
-    fn default() -> Self {
-        CorpusMineOptions {
-            threads: 1,
-            progress: false,
-            quarantine: false,
-        }
-    }
-}
+/// How a corpus should be re-mined into its campaign document: worker
+/// threads (never influencing the document bytes), per-run progress
+/// lines, and quarantine-and-continue (which adds the opt-in
+/// `quarantined` document section).
+pub use sentomist_core::MineOptions as CorpusMineOptions;
 
 /// What [`mine_corpus`] produced: the canonical document bytes plus the
 /// structured result for front ends that render their own views.
@@ -567,17 +548,7 @@ pub fn mine_corpus(
         "base_seed".to_string(),
         Serialize::to_value(&campaign.base_seed),
     ));
-    let report = mine_store_with(
-        store,
-        MineOptions {
-            campaign: sentomist_core::campaign::CampaignOptions {
-                threads: options.threads,
-                progress: options.progress,
-            },
-            quarantine: options.quarantine,
-        },
-        mode.miner(),
-    )?;
+    let report = mine_store(store, options, mode.miner())?;
     let mut result = report.result;
     // Runs that failed during the live campaign have no run directory;
     // fold their recorded errors back in (failure typing included) so

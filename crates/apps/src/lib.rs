@@ -28,15 +28,14 @@ pub mod oscilloscope;
 pub mod scenario;
 
 pub use experiments::{
-    case1_job, case1_job_traced, case2_job, case2_job_traced, case3_job, case3_job_traced,
     mine_case1, mine_case2, mine_case3, mine_trigger_trace, run_case1, run_case1_traced, run_case2,
-    run_case2_traced, run_case3, run_case3_traced, run_trigger_campaign, trigger_job,
-    trigger_job_traced, Case1Config, Case2Config, Case3Config, CaseResult, DetectorKind,
+    run_case2_traced, run_case3, run_case3_traced, trigger_job, Case1Config, Case2Config,
+    Case3Config, CaseResult, DetectorKind,
 };
 pub use jobs::{
     bundled_program, bundled_slice_report, campaign_document, default_slice_seeds, fnv64,
-    mine_corpus, slice_document, CampaignJob, CorpusMineOptions, JobError, MinedCorpus, Mode,
-    StoreMiner, SupervisedTracedJob, TracedJob,
+    mine_corpus, slice_document, CorpusMineOptions, JobError, MinedCorpus, Mode, StoreMiner,
+    SupervisedTracedJob,
 };
 pub use scenario::{
     emulate_scenario, hunt_iteration, mine_scenario, mined_matches, scenario, scenario_evidence,

@@ -17,11 +17,11 @@
 //! idle steps; they hold because that change keeps the schedule exact.
 
 use sentomist_apps::{
-    case2_job, case3_job, run_case1, run_case2, run_case3, trigger_job, Case1Config, Case2Config,
-    Case3Config, CaseResult,
+    run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config, CaseResult, Mode,
 };
-use sentomist_core::campaign::{run_campaign, CampaignOptions, RunOutcome};
+use sentomist_core::supervise::{run_supervised, RunContext, SupervisorOptions};
 use sentomist_core::Report;
+use std::sync::Arc;
 
 /// FNV-1a over a byte stream.
 struct Fnv(u64);
@@ -104,8 +104,12 @@ fn trigger_campaign_json_matches_seed_implementation() {
     // 16 seeds, 2-second runs (the CI determinism sweep's shape): the
     // serialized outcome document must be byte-identical to the seed
     // implementation's.
-    let job = trigger_job(20, 2, 0.05).unwrap();
-    check("campaign", GOLDEN_CAMPAIGN, &sixteen_seed_digest(job));
+    let mode = Mode::Trigger {
+        period: 20,
+        seconds: 2,
+        nu: 0.05,
+    };
+    check("campaign", GOLDEN_CAMPAIGN, &sixteen_seed_digest(mode));
 }
 
 // The multi-node case studies run on `netsim`. Each seed's outcome
@@ -115,24 +119,27 @@ fn trigger_campaign_json_matches_seed_implementation() {
 
 #[test]
 fn case2_sixteen_seed_campaign_matches_pinned_outcomes() {
-    let digest = sixteen_seed_digest(case2_job(Case2Config::default()));
+    let digest = sixteen_seed_digest(Mode::Case2);
     check("case2_campaign", GOLDEN_CASE2_CAMPAIGN, &digest);
 }
 
 #[test]
 fn case3_sixteen_seed_campaign_matches_pinned_outcomes() {
-    let digest = sixteen_seed_digest(case3_job(Case3Config::default()));
+    let digest = sixteen_seed_digest(Mode::Case3);
     check("case3_campaign", GOLDEN_CASE3_CAMPAIGN, &digest);
 }
 
-/// Runs `job` over seeds 1000..1016 on one thread and digests the
-/// serialized outcome list.
-fn sixteen_seed_digest<F>(job: F) -> String
-where
-    F: Fn(u64) -> Result<RunOutcome, String> + Send + Sync,
-{
+/// Runs `mode`'s campaign job over seeds 1000..1016 on the supervised
+/// pool (one thread) and digests the serialized outcome list.
+fn sixteen_seed_digest(mode: Mode) -> String {
+    let job = mode.supervised_traced_job().unwrap();
     let seeds: Vec<u64> = (0..16).map(|i| 1000 + i).collect();
-    let result = run_campaign(&seeds, CampaignOptions::default(), job);
+    let result = run_supervised(
+        &seeds,
+        &SupervisorOptions::default(),
+        Arc::new(move |ctx: &RunContext| job(ctx).map(|(outcome, _)| outcome)),
+        |_| {},
+    );
     assert!(result.errors.is_empty(), "{:?}", result.errors);
     assert_eq!(result.outcomes.len(), 16);
     let json = serde_json::to_string(&result.outcomes).unwrap();

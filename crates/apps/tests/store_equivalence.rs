@@ -10,10 +10,10 @@
 
 use sentomist_apps::{
     mine_case1, mine_case2, mine_case3, mine_trigger_trace, run_case1_traced, run_case2_traced,
-    run_case3_traced, trigger_job_traced, Case1Config, Case2Config, Case3Config, CaseResult,
+    run_case3_traced, trigger_job, Case1Config, Case2Config, Case3Config, CaseResult,
 };
-use sentomist_core::campaign::CampaignOptions;
-use sentomist_core::{mine_store, Report};
+use sentomist_core::supervise::RunContext;
+use sentomist_core::{mine_store, MineOptions, Report};
 use sentomist_trace::Trace;
 use sentomist_tracestore::TraceStore;
 use std::path::PathBuf;
@@ -131,20 +131,21 @@ fn trigger_campaign_mined_from_store_matches_live_golden() {
     // serialized outcome JSON must hash to the same golden digest.
     let root = temp_store("campaign");
     let store = TraceStore::create(&root).unwrap();
-    let job = trigger_job_traced(20, 2, 0.05).unwrap();
+    let job = trigger_job(20, 2, 0.05).unwrap();
     for seed in 1000u64..1016 {
-        let (_, traces) = job(seed).unwrap();
+        let (_, traces) = job(&RunContext::new(seed, 1, None)).unwrap();
         store.save_run(seed, "trigger", 0, &traces).unwrap();
     }
     let result = mine_store(
         &store,
-        CampaignOptions::default(),
-        |seed, traces| match traces {
+        &MineOptions::default(),
+        |seed, traces: &[Trace]| match traces {
             [trace] => mine_trigger_trace(seed, trace, 0.05),
             other => Err(format!("expected 1 trace, found {}", other.len())),
         },
     )
-    .unwrap();
+    .unwrap()
+    .result;
     assert!(
         result.errors.is_empty(),
         "store mining errored: {:?}",

@@ -12,9 +12,9 @@
 //! Run with: `cargo run --release -p sentomist-bench --bin case_study_3`
 //! Optional arguments: `[threads] [seeds]` (defaults 1 and 8).
 
-use sentomist_apps::experiments::case3_job;
-use sentomist_apps::{run_case3, Case3Config};
-use sentomist_core::campaign::{run_campaign, CampaignOptions};
+use sentomist_apps::{run_case3, Case3Config, Mode};
+use sentomist_core::supervise::{run_supervised, SupervisorOptions};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -33,13 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let seeds: Vec<u64> = (0..n_seeds).map(|i| 100 + i).collect();
-    let campaign = run_campaign(
+    let campaign = run_supervised(
         &seeds,
-        CampaignOptions {
+        &SupervisorOptions {
             threads,
             progress: true,
+            ..SupervisorOptions::default()
         },
-        case3_job(Case3Config::default()),
+        Arc::new(sentomist_bench::outcome_job(Mode::Case3)?),
+        |_| {},
     );
     println!();
     print!(

@@ -10,8 +10,9 @@
 //! the numbers in the table are identical for every thread count — only
 //! the wall-clock column changes.
 
-use sentomist_apps::experiments::run_trigger_campaign;
-use sentomist_core::campaign::CampaignOptions;
+use sentomist_apps::Mode;
+use sentomist_core::supervise::{run_supervised, SupervisorOptions};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,6 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|_| "usage: trigger_campaign [threads]")?
         .unwrap_or(1);
     let runs = 16;
+    let seeds: Vec<u64> = (1000..1000 + runs).collect();
+    let options = SupervisorOptions {
+        threads,
+        ..SupervisorOptions::default()
+    };
     println!(
         "=== Trigger campaign: {runs} independent 10 s runs per period \
          ({threads} worker thread{}) ===\n",
@@ -33,16 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for period in [20u32, 40, 60, 80, 100] {
         let started = Instant::now();
-        let result = run_trigger_campaign(
+        let job = sentomist_bench::outcome_job(Mode::Trigger {
             period,
-            runs,
-            1000,
-            0.05,
-            CampaignOptions {
-                threads,
-                progress: false,
-            },
-        )?;
+            seconds: 10,
+            nu: 0.05,
+        })?;
+        let result = run_supervised(&seeds, &options, Arc::new(job), |_| {});
         let elapsed = started.elapsed().as_secs_f64();
         for e in &result.errors {
             eprintln!("seed {} failed: {}", e.seed, e.message);

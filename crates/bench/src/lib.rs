@@ -2,13 +2,29 @@
 //!
 //! Each binary in `src/bin/` regenerates one artifact of the paper's
 //! evaluation section (Figure 5(a)–(c) and the §VI-E detector
-//! discussion); this library renders the common report format.
+//! discussion); this library renders the common report format and
+//! builds the seed-sweep job the binaries and benches run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sentomist_apps::CaseResult;
-use sentomist_core::campaign::{CampaignResult, Verdict};
+use sentomist_apps::{CaseResult, JobError, Mode};
+use sentomist_core::campaign::{CampaignResult, RunOutcome, Verdict};
+use sentomist_core::supervise::{RunContext, RunFailure};
+
+/// `mode`'s campaign job with the recorded traces dropped — what the
+/// evaluation binaries and benches sweep, since none of them persists
+/// its runs.
+///
+/// # Errors
+///
+/// Program assembly failures while building the job.
+pub fn outcome_job(
+    mode: Mode,
+) -> Result<impl Fn(&RunContext) -> Result<RunOutcome, RunFailure> + Send + Sync, JobError> {
+    let traced = mode.supervised_traced_job()?;
+    Ok(move |ctx: &RunContext| traced(ctx).map(|(outcome, _)| outcome))
+}
 
 /// Renders one case-study outcome: the Figure-5-style table, the
 /// ground-truth symptom ranks, and the paper-vs-measured summary line.

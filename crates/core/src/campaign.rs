@@ -1,22 +1,24 @@
-//! Parallel seed-sweep campaign orchestration.
+//! Seed-sweep campaign results.
 //!
 //! The paper's §IV premise — transient bugs need *many* randomized
 //! testing scenarios before they trigger — makes single-run evaluation
 //! misleading: what matters is a *campaign*, a sweep of independent
 //! runs over a seed range, with the mining pipeline applied to each run
-//! in isolation. This module provides the generic orchestrator:
+//! in isolation. The sweep itself runs on the supervised worker pool
+//! ([`crate::supervise::run_supervised`]); this module holds what it
+//! produces:
 //!
-//! * a job is any `Fn(u64) -> Result<RunOutcome, String> + Send + Sync`
-//!   closure mapping a seed to a structured outcome (the application
-//!   crates build these; see `sentomist-apps`);
-//! * [`run_campaign`] fans the seeds over a worker pool of OS threads
-//!   and collects the outcomes **sorted by seed**, so the aggregated
-//!   result is identical whether 1 or 16 threads ran it;
-//! * [`summarize`] reduces the outcomes to permutation-invariant
-//!   campaign statistics (trigger rate, rank quality, sample volumes);
-//! * any flagged run is replayable by invoking the same job with the
-//!   same seed ([`replay`]) — the [`RunOutcome::trace_digest`] proves
-//!   the replay reproduced the original execution bit for bit.
+//! * [`RunOutcome`] / [`RunError`] — one seed's structured result or
+//!   typed failure, and [`CampaignResult`], both lists **sorted by
+//!   seed**, so the aggregated result is identical whether 1 or 16
+//!   threads ran it;
+//! * [`summarize`] / [`summarize_result`] reduce the outcomes to
+//!   permutation-invariant campaign statistics (trigger rate, rank
+//!   quality, sample volumes, failure counts);
+//! * any flagged run is replayable by running the same job on the same
+//!   seed ([`crate::supervise::supervise_once`]) — the
+//!   [`RunOutcome::trace_digest`] proves the replay reproduced the
+//!   original execution bit for bit.
 //!
 //! Wall-clock timing is observability, not result: the per-run
 //! [`RunOutcome::wall_time_ms`] is `#[serde(skip)]`ed so serialized
@@ -24,9 +26,6 @@
 //! counts.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::Instant;
 
 /// Did the run trigger the bug (produce any true symptom interval)?
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -277,108 +276,17 @@ pub fn summarize_result(outcomes: &[RunOutcome], errors: &[RunError]) -> Campaig
     }
 }
 
-/// How a campaign should be driven.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignOptions {
-    /// Worker threads (clamped to `1..=seeds`).
-    pub threads: usize,
-    /// Emit one progress line per finished run on stderr.
-    pub progress: bool,
-}
-
-impl Default for CampaignOptions {
-    fn default() -> Self {
-        CampaignOptions {
-            threads: 1,
-            progress: false,
-        }
-    }
-}
-
-/// Fans `seeds` over `options.threads` workers, each running `job`, and
-/// aggregates the outcomes sorted by seed.
-///
-/// Determinism contract: provided `job` is a pure function of the seed
-/// (every job in this workspace is — the emulator is fully deterministic
-/// per seed), the returned [`CampaignResult`] — and hence its serialized
-/// form — is identical for every thread count. Worker scheduling only
-/// changes *when* each outcome is produced, never what it contains or
-/// where it lands.
-pub fn run_campaign<F>(seeds: &[u64], options: CampaignOptions, job: F) -> CampaignResult
-where
-    F: Fn(u64) -> Result<RunOutcome, String> + Send + Sync,
-{
-    let threads = options.threads.clamp(1, seeds.len().max(1));
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(u64, Result<RunOutcome, String>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let job = &job;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let start = Instant::now();
-                let result = job(seed).map(|mut outcome| {
-                    outcome.wall_time_ms = start.elapsed().as_millis() as u64;
-                    outcome
-                });
-                if options.progress {
-                    match &result {
-                        Ok(o) => eprintln!(
-                            "campaign: seed {seed} done — {} samples, {} symptoms, \
-                             verdict {:?} ({} ms)",
-                            o.samples, o.symptoms, o.verdict, o.wall_time_ms
-                        ),
-                        Err(e) => eprintln!("campaign: seed {seed} FAILED — {e}"),
-                    }
-                }
-                if tx.send((seed, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-    });
-    let mut outcomes = Vec::new();
-    let mut errors = Vec::new();
-    for (seed, result) in rx {
-        match result {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(message) => errors.push(RunError::new(seed, message)),
-        }
-    }
-    outcomes.sort_by_key(|o| o.seed);
-    errors.sort_by_key(|e| e.seed);
-    CampaignResult { outcomes, errors }
-}
-
-/// Re-runs a single seed through `job` — the reproduce-by-seed entry
-/// point. Campaign jobs are pure functions of the seed, so the outcome
-/// must [`RunOutcome::matches`] the original campaign entry, trace
-/// digest included.
-///
-/// # Errors
-///
-/// Propagates the job's error string.
-pub fn replay<F>(seed: u64, job: F) -> Result<RunOutcome, String>
-where
-    F: Fn(u64) -> Result<RunOutcome, String>,
-{
-    let start = Instant::now();
-    let mut outcome = job(seed)?;
-    outcome.wall_time_ms = start.elapsed().as_millis() as u64;
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::SupervisorOptions;
+    use crate::supervise::{run_supervised, supervise_once, RunContext, RunFailure};
+    use std::sync::Arc;
 
-    fn fake_job(seed: u64) -> Result<RunOutcome, String> {
+    fn fake_job(ctx: &RunContext) -> Result<RunOutcome, RunFailure> {
+        let seed = ctx.seed();
         if seed == 13 {
-            return Err("unlucky".into());
+            return Err(RunFailure::Fatal("unlucky".into()));
         }
         let symptoms = seed.is_multiple_of(3) as usize;
         Ok(RunOutcome {
@@ -400,25 +308,19 @@ mod tests {
         })
     }
 
+    fn sweep(seeds: &[u64], threads: usize) -> CampaignResult {
+        let options = SupervisorOptions {
+            threads,
+            ..SupervisorOptions::default()
+        };
+        run_supervised(seeds, &options, Arc::new(fake_job), |_| {})
+    }
+
     #[test]
     fn outcomes_sorted_by_seed_for_any_thread_count() {
         let seeds: Vec<u64> = (0..24).rev().collect(); // deliberately unsorted
-        let one = run_campaign(
-            &seeds,
-            CampaignOptions {
-                threads: 1,
-                progress: false,
-            },
-            fake_job,
-        );
-        let four = run_campaign(
-            &seeds,
-            CampaignOptions {
-                threads: 4,
-                progress: false,
-            },
-            fake_job,
-        );
+        let one = sweep(&seeds, 1);
+        let four = sweep(&seeds, 4);
         // Timing differs run to run; compare result content.
         assert_eq!(one.errors, four.errors);
         assert_eq!(one.outcomes.len(), four.outcomes.len());
@@ -478,7 +380,7 @@ mod tests {
     #[test]
     fn failure_statistics_come_from_the_error_list() {
         let seeds: Vec<u64> = (10..16).collect(); // includes the failing 13
-        let result = run_campaign(&seeds, CampaignOptions::default(), fake_job);
+        let result = sweep(&seeds, 1);
         let s = result.summary();
         assert_eq!(s.runs, 5);
         assert_eq!(s.failed, 1);
@@ -515,15 +417,19 @@ mod tests {
     #[test]
     fn replay_matches_campaign_entry() {
         let seeds: Vec<u64> = (0..10).collect();
-        let result = run_campaign(&seeds, CampaignOptions::default(), fake_job);
+        let result = sweep(&seeds, 2);
         let flagged = result.triggered().next().expect("some run triggers");
-        let replayed = replay(flagged.seed, fake_job).unwrap();
-        assert!(replayed.matches(flagged));
+        let replayed = supervise_once(
+            flagged.seed,
+            &SupervisorOptions::default(),
+            Arc::new(fake_job),
+        );
+        assert!(replayed.outcome.expect("replay succeeds").matches(flagged));
     }
 
     #[test]
     fn wall_time_stays_out_of_json() {
-        let outcome = fake_job(2).unwrap();
+        let outcome = fake_job(&RunContext::new(2, 1, None)).unwrap();
         let v = serde::Serialize::to_value(&outcome);
         let map = v.as_map().expect("outcome serializes as a map");
         assert!(map.iter().all(|(k, _)| k != "wall_time_ms"));

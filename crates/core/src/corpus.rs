@@ -2,37 +2,51 @@
 //!
 //! A campaign run with `--store` leaves behind a [`TraceStore`]: one
 //! directory per seed holding the run's encoded lifecycle traces plus a
-//! manifest. [`mine_store`] sweeps that corpus the same way
-//! [`run_campaign`](crate::campaign::run_campaign) sweeps seeds — fanned
-//! over a worker pool, aggregated sorted by seed — except each "run" is
+//! manifest. [`mine_store`] sweeps that corpus on the same supervised
+//! pool a live campaign sweeps seeds on ([`run_supervised`]) — fanned
+//! over worker threads, aggregated sorted by seed — except each "run" is
 //! a decode instead of an emulation. Detectors can thus be re-tuned and
 //! rankings re-produced at a fraction of the original cost, and (because
 //! the mining stage is the same code path the live campaign used) the
 //! re-mined document is bit-identical to the live one.
 //!
 //! For corpora that took damage — a torn write, bit rot, a killed
-//! recording — [`mine_store_with`] adds *quarantine-and-continue*: runs
-//! whose manifest or traces fail corruption-class validation
+//! recording — [`MineOptions::quarantine`] adds *quarantine-and-continue*:
+//! runs whose manifest or traces fail corruption-class validation
 //! ([`StoreError::is_corruption`]) are moved to the store's
 //! `quarantine/` directory with a typed reason, the remaining runs are
 //! mined normally, and the [`MineReport`] enumerates exactly what was
 //! skipped and why. One bad run no longer costs the corpus.
 
-use crate::campaign::{run_campaign, CampaignOptions, CampaignResult, RunOutcome};
+use crate::campaign::{CampaignResult, RunError, RunOutcome};
+use crate::supervise::{run_supervised, RunContext, RunFailure, SupervisorOptions};
 use sentomist_trace::Trace;
 use sentomist_tracestore::{seed_for_run_id, RunManifest, StoreError, TraceStore};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// How a corpus should be mined.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct MineOptions {
-    /// Worker-pool options for the sweep itself.
-    pub campaign: CampaignOptions,
+    /// Worker threads for the sweep (clamped to `1..=runs`). Never
+    /// influences the result.
+    pub threads: usize,
+    /// Emit one progress line per finished run on stderr.
+    pub progress: bool,
     /// Quarantine-and-continue: move corruption-class failures to
     /// `quarantine/` instead of reporting them as run errors. Off, a
     /// corrupt run stays in place and lands in the error list (the
     /// historical behavior).
     pub quarantine: bool,
+}
+
+impl Default for MineOptions {
+    fn default() -> Self {
+        MineOptions {
+            threads: 1,
+            progress: false,
+            quarantine: false,
+        }
+    }
 }
 
 /// One run set aside by quarantine-and-continue mining.
@@ -47,13 +61,14 @@ pub struct QuarantinedRun {
     pub reason: String,
 }
 
-/// What quarantine-aware mining produced: the campaign result over the
-/// healthy runs, plus everything that was set aside.
+/// What corpus mining produced: the campaign result over the healthy
+/// runs, plus everything quarantine set aside.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MineReport {
     /// Mining result over the runs that passed validation.
     pub result: CampaignResult,
-    /// Runs moved to `quarantine/`, ascending by run id.
+    /// Runs moved to `quarantine/`, ascending by run id (always empty
+    /// without [`MineOptions::quarantine`]).
     pub quarantined: Vec<QuarantinedRun>,
 }
 
@@ -61,36 +76,12 @@ pub struct MineReport {
 /// run's seed and decoded traces (node order, digest-verified) to a
 /// campaign outcome.
 ///
-/// Store-level failures of a single run — unreadable manifest, corrupt or
-/// tampered trace file — land in the result's `errors` list under that
-/// run's seed, mirroring how a live campaign reports per-seed job
-/// failures; they never panic and never abort the sweep.
-///
-/// # Errors
-///
-/// Only listing the corpus can fail the call itself ([`StoreError::Io`]);
-/// everything per-run is reported in the [`CampaignResult`].
-pub fn mine_store<F>(
-    store: &TraceStore,
-    options: CampaignOptions,
-    miner: F,
-) -> Result<CampaignResult, StoreError>
-where
-    F: Fn(u64, &[Trace]) -> Result<RunOutcome, String> + Send + Sync,
-{
-    mine_store_with(
-        store,
-        MineOptions {
-            campaign: options,
-            quarantine: false,
-        },
-        miner,
-    )
-    .map(|report| report.result)
-}
-
-/// [`mine_store`] with explicit [`MineOptions`] — in particular
-/// quarantine-and-continue for damaged corpora.
+/// Store-level failures of a single run — corrupt or tampered trace
+/// file — and miner errors land in the result's `errors` list under that
+/// run's seed as single-attempt [`RunFailure::Fatal`] rows, mirroring
+/// how a live campaign reports per-seed job failures; a panicking miner
+/// becomes a `panic` row. None of them aborts the sweep. The miner is
+/// `'static` because the supervised pool owns its jobs.
 ///
 /// With `quarantine` on, a run is set aside (moved to `quarantine/`,
 /// reason recorded on disk and in the report) when its manifest is
@@ -100,15 +91,16 @@ where
 ///
 /// # Errors
 ///
-/// Only listing the corpus or moving a condemned run can fail the call
-/// itself; per-run problems are reported, never thrown.
-pub fn mine_store_with<F>(
+/// Listing the corpus or moving a condemned run can fail the call
+/// itself, and so can an unreadable manifest when quarantine is off;
+/// every other per-run problem is reported, never thrown.
+pub fn mine_store<F>(
     store: &TraceStore,
-    options: MineOptions,
+    options: &MineOptions,
     miner: F,
 ) -> Result<MineReport, StoreError>
 where
-    F: Fn(u64, &[Trace]) -> Result<RunOutcome, String> + Send + Sync,
+    F: Fn(u64, &[Trace]) -> Result<RunOutcome, String> + Send + Sync + 'static,
 {
     let mut quarantined: Vec<QuarantinedRun> = Vec::new();
     let mut manifests: Vec<RunManifest> = Vec::new();
@@ -135,46 +127,51 @@ where
         }
     }
     let seeds: Vec<u64> = manifests.iter().map(|m| m.seed).collect();
-    let by_seed = |seed: u64| -> &RunManifest {
-        // seeds[i] comes from manifests[i]; the job only receives those.
-        &manifests[seeds.iter().position(|&s| s == seed).expect("known seed")]
-    };
-    // Corruption found while loading traces, keyed by seed; quarantining
-    // is deferred to after the sweep so workers never race on renames.
-    let condemned: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
-    let mut result = run_campaign(&seeds, options.campaign, |seed| {
-        let manifest = by_seed(seed);
-        let traces = match store.load_traces(manifest) {
-            Ok(traces) => traces,
-            Err(e) => {
-                if options.quarantine && e.is_corruption() {
+    // Corruption found while loading traces; quarantining is deferred to
+    // after the sweep so workers never race on renames.
+    let condemned: Arc<Mutex<Vec<QuarantinedRun>>> = Arc::default();
+    let job = {
+        let store = store.clone();
+        let condemned = Arc::clone(&condemned);
+        let quarantine = options.quarantine;
+        move |ctx: &RunContext| {
+            let seed = ctx.seed();
+            let manifest = manifests
+                .iter()
+                .find(|m| m.seed == seed)
+                .expect("swept seeds come from the manifests");
+            let traces = store.load_traces(manifest).map_err(|e| {
+                if quarantine && e.is_corruption() {
                     condemned
                         .lock()
                         .expect("condemned list lock")
-                        .push((seed, e.to_string()));
+                        .push(QuarantinedRun {
+                            run_id: manifest.run_id.clone(),
+                            seed,
+                            reason: e.to_string(),
+                        });
                 }
-                return Err(e.to_string());
-            }
-        };
-        miner(seed, &traces)
-    });
+                RunFailure::Fatal(e.to_string())
+            })?;
+            miner(seed, &traces).map_err(RunFailure::Fatal)
+        }
+    };
+    let pool = SupervisorOptions {
+        threads: options.threads,
+        progress: options.progress,
+        ..SupervisorOptions::default()
+    };
+    let mut result = run_supervised(&seeds, &pool, Arc::new(job), |_| {});
     for (seed, message) in manifest_errors {
-        result
-            .errors
-            .push(crate::campaign::RunError::new(seed, message));
+        result.errors.push(RunError::new(seed, message));
     }
     result.errors.sort_by_key(|e| e.seed);
-    let condemned = condemned.into_inner().expect("condemned list lock");
-    for (seed, reason) in condemned {
-        let manifest = by_seed(seed);
-        store.quarantine_run(&manifest.run_id, &reason)?;
+    let condemned = std::mem::take(&mut *condemned.lock().expect("condemned list lock"));
+    for run in condemned {
+        store.quarantine_run(&run.run_id, &run.reason)?;
         // A quarantined run is skipped, not failed: drop its error entry.
-        result.errors.retain(|e| e.seed != seed);
-        quarantined.push(QuarantinedRun {
-            run_id: manifest.run_id.clone(),
-            seed,
-            reason,
-        });
+        result.errors.retain(|e| e.seed != run.seed);
+        quarantined.push(run);
     }
     quarantined.sort_by(|a, b| a.run_id.cmp(&b.run_id));
     Ok(MineReport {
@@ -186,7 +183,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::Verdict;
+    use crate::campaign::{FailureKind, Verdict};
     use sentomist_trace::TraceEvent;
     use std::path::PathBuf;
     use tinyvm::LifecycleItem;
@@ -238,7 +235,9 @@ mod tests {
                 .save_run(seed, "test", 0, &[trace_with(seed * 10)])
                 .unwrap();
         }
-        let result = mine_store(&store, CampaignOptions::default(), outcome_from).unwrap();
+        let result = mine_store(&store, &MineOptions::default(), outcome_from)
+            .unwrap()
+            .result;
         assert!(result.errors.is_empty());
         let seeds: Vec<u64> = result.outcomes.iter().map(|o| o.seed).collect();
         assert_eq!(seeds, vec![2, 5, 9]);
@@ -258,11 +257,36 @@ mod tests {
             .join(&manifest.nodes[0].file);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let result = mine_store(&store, CampaignOptions::default(), outcome_from).unwrap();
+        let result = mine_store(&store, &MineOptions::default(), outcome_from)
+            .unwrap()
+            .result;
         assert_eq!(result.outcomes.len(), 1);
         assert_eq!(result.outcomes[0].seed, 1);
         assert_eq!(result.errors.len(), 1);
-        assert_eq!(result.errors[0].seed, 2);
+        let e = &result.errors[0];
+        assert_eq!((e.seed, e.kind, e.attempts), (2, FailureKind::Error, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn panicking_miner_becomes_a_panic_row_and_the_rest_mine() {
+        let root = tmpdir("panic");
+        let store = TraceStore::create(&root).unwrap();
+        for seed in [1u64, 2, 3] {
+            store
+                .save_run(seed, "test", 0, &[trace_with(seed)])
+                .unwrap();
+        }
+        let miner = |seed: u64, traces: &[Trace]| {
+            assert_ne!(seed, 2, "miner bug");
+            outcome_from(seed, traces)
+        };
+        let report = mine_store(&store, &MineOptions::default(), miner).unwrap();
+        let seeds: Vec<u64> = report.result.outcomes.iter().map(|o| o.seed).collect();
+        assert_eq!(seeds, vec![1, 3]);
+        let e = &report.result.errors[0];
+        assert_eq!((e.seed, e.kind, e.attempts), (2, FailureKind::Panic, 1));
+        assert!(e.message.contains("miner bug"), "{}", e.message);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -288,11 +312,11 @@ mod tests {
         )
         .unwrap();
 
-        let report = mine_store_with(
+        let report = mine_store(
             &store,
-            MineOptions {
-                campaign: CampaignOptions::default(),
+            &MineOptions {
                 quarantine: true,
+                ..MineOptions::default()
             },
             outcome_from,
         )
@@ -315,9 +339,10 @@ mod tests {
         assert!(notes[0].run_id.ends_with("2"));
         assert!(notes[1].reason.contains("manifest"));
         // And the remaining corpus still mines cleanly a second time.
-        let again = mine_store(&store, CampaignOptions::default(), outcome_from).unwrap();
-        assert_eq!(again.outcomes.len(), 2);
-        assert!(again.errors.is_empty());
+        let again = mine_store(&store, &MineOptions::default(), outcome_from).unwrap();
+        assert_eq!(again.result.outcomes.len(), 2);
+        assert!(again.result.errors.is_empty());
+        assert!(again.quarantined.is_empty());
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -14,11 +14,13 @@
 //!   type, written straight from the trace's counter table;
 //! * [`Pipeline`] — scale → detect → normalize → rank;
 //! * [`Report`] — Figure-5-style ranking tables and rank queries;
-//! * [`campaign`] — parallel seed-sweep orchestration with
-//!   reproducible-by-seed replay of any flagged run;
-//! * [`supervise`] — the fault-tolerant variant: panic isolation,
-//!   watchdogs, deterministic retry and checkpointable completion
-//!   reporting, provable under the seeded [`chaos`] harness;
+//! * [`supervise`] — the seed-sweep worker pool: parallel, seed-sorted
+//!   and thread-count-deterministic, with panic isolation, watchdogs,
+//!   deterministic retry and checkpointable completion reporting,
+//!   provable under the seeded [`chaos`] harness;
+//! * [`campaign`] — what a sweep produces: per-seed outcomes and typed
+//!   failures, summary statistics, and reproducible-by-seed replay of
+//!   any flagged run;
 //! * [`corpus::mine_store`] — the same sweep over a persisted trace
 //!   corpus (`sentomist-tracestore`), re-mining without re-emulating;
 //! * [`hunt`] — invariant-driven bug-bounty campaigns: seeded scenario
@@ -79,12 +81,12 @@ pub mod supervise;
 
 pub use baseline::BaselineModel;
 pub use campaign::{
-    replay, run_campaign, summarize, summarize_result, CampaignOptions, CampaignResult,
-    CampaignSummary, FailureKind, RunError, RunOutcome, Verdict,
+    summarize, summarize_result, CampaignResult, CampaignSummary, FailureKind, RunError,
+    RunOutcome, Verdict,
 };
 pub use causal::{causal_chain, CausalChain, CausalError, ChainHop, ChainSite};
 pub use chaos::{corrupt_file, truncate_file, ChaosConfig, Fault};
-pub use corpus::{mine_store, mine_store_with, MineOptions, MineReport, QuarantinedRun};
+pub use corpus::{mine_store, MineOptions, MineReport, QuarantinedRun};
 pub use hunt::{
     check_invariants, run_hunt_target, Evidence, HuntReport, InvariantId, InvariantPolicy,
     InvariantStats, IterationRecord, TargetOutcome, TargetReport, Violation, INVARIANTS,
@@ -98,6 +100,6 @@ pub use pipeline::{Pipeline, PipelineError};
 pub use report::{RankedSample, Report};
 pub use sample::{harvest, harvest_set, Sample, SampleIndex, SampleMeta, SampleSet};
 pub use supervise::{
-    adapt_seed_job, backoff_delay_ms, run_supervised, run_supervised_typed, supervise_once,
-    RunContext, RunFailure, SeedReport, SupervisedResult, SupervisorOptions, TypedReport,
+    backoff_delay_ms, run_supervised, run_supervised_typed, supervise_once, RunContext, RunFailure,
+    SeedReport, SupervisedResult, SupervisorOptions, TypedReport,
 };

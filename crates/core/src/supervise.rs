@@ -1,12 +1,13 @@
-//! Supervised campaign execution: panic isolation, watchdogs,
+//! The seed-sweep worker pool: panic isolation, watchdogs,
 //! deterministic retry, and incremental completion reporting.
 //!
-//! [`run_campaign`](crate::campaign::run_campaign) assumes every job
-//! either completes or fails politely. At campaign scale that assumption
-//! breaks: a panicking job would unwind its worker, a runaway emulation
-//! would hang the sweep forever, and a transient failure (I/O hiccup,
-//! injected chaos) would burn the seed permanently. [`run_supervised`]
-//! hardens the same fan-out:
+//! Every seed sweep in the workspace — live campaigns, hunts, corpus
+//! re-mines, replays and the daemon's jobs — runs on this one pool. At
+//! campaign scale a job cannot be trusted to complete or fail politely:
+//! a panicking job would unwind its worker, a runaway emulation would
+//! hang the sweep forever, and a transient failure (I/O hiccup, injected
+//! chaos) would burn the seed permanently. [`run_supervised`] fans the
+//! seeds over scoped worker threads and hardens each attempt:
 //!
 //! * **panic isolation** — every attempt runs under
 //!   [`std::panic::catch_unwind`]; a panic becomes a typed
@@ -34,19 +35,22 @@
 //!   the CLI journals these into the trace store to make a killed
 //!   campaign resumable ([`SeedReport`] round-trips through JSON).
 //!
-//! Determinism contract: as with `run_campaign`, the aggregated
-//! [`CampaignResult`] is sorted by seed and (given pure jobs) identical
-//! for every thread count. With no timeout configured, attempts run
-//! inline on the scoped workers — the clean path costs one
-//! `catch_unwind` frame over the plain orchestrator.
+//! Determinism contract: the aggregated [`CampaignResult`] is sorted by
+//! seed and (given pure jobs) identical for every thread count — worker
+//! scheduling only changes *when* each outcome is produced, never what
+//! it contains or where it lands. With no timeout configured, attempts
+//! run inline on the scoped workers — the clean path costs one
+//! `catch_unwind` frame over calling the job directly.
 //!
 //! The pool is generic over the job's success type:
 //! [`run_supervised_typed`] supervises any `Fn(&RunContext) ->
 //! Result<T, RunFailure>` and reports [`TypedReport<T>`]s — the hunt
 //! subsystem ([`crate::hunt`]) runs whole mined-and-checked iteration
 //! records through it. [`run_supervised`] is the `T = RunOutcome`
-//! specialization that additionally stamps wall times and aggregates a
-//! [`CampaignResult`].
+//! specialization that additionally stamps wall times, prints progress
+//! lines and aggregates a [`CampaignResult`]. [`supervise_once`] is the
+//! same envelope for a single seed on the calling thread — replays and
+//! the daemon's per-request jobs.
 
 use crate::campaign::{CampaignResult, FailureKind, RunError, RunOutcome};
 use serde::{Deserialize, Serialize};
@@ -205,16 +209,6 @@ pub fn backoff_delay_ms(seed: u64, attempt: u32, base_ms: u64) -> u64 {
     exp + splitmix64(seed ^ u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F)) % base_ms
 }
 
-/// Lifts a plain seed job (the `run_campaign` shape) into a supervised
-/// job: errors become [`RunFailure::Transient`] (retryable), the context
-/// supplies the seed.
-pub fn adapt_seed_job<F>(job: F) -> impl Fn(&RunContext) -> Result<RunOutcome, RunFailure>
-where
-    F: Fn(u64) -> Result<RunOutcome, String>,
-{
-    move |ctx| job(ctx.seed()).map_err(RunFailure::Transient)
-}
-
 thread_local! {
     static SUPERVISED_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -307,7 +301,7 @@ where
 {
     let Some(limit) = timeout else {
         // No watchdog: run inline on the worker. One catch_unwind frame
-        // is the entire clean-path cost over `run_campaign`.
+        // is the entire clean-path cost over calling the job directly.
         return normalize(catch_unwind(AssertUnwindSafe(|| {
             let _mark = SupervisedMark::set();
             job(ctx)
@@ -516,8 +510,7 @@ where
 ///
 /// The job takes a [`RunContext`] rather than a bare seed so the
 /// watchdog can cancel it cooperatively and budget-aware jobs can meter
-/// their own cycles; lift a plain seed job with [`adapt_seed_job`].
-/// This is the `T = RunOutcome` specialization of
+/// their own cycles. This is the `T = RunOutcome` specialization of
 /// [`run_supervised_typed`]: it stamps each outcome's
 /// [`RunOutcome::wall_time_ms`] from the attempt's measured wall time
 /// before journaling or aggregating it.
@@ -728,30 +721,6 @@ mod tests {
             "jitter should vary with the seed (for these two seeds)"
         );
         assert_eq!(backoff_delay_ms(9, 3, 0), 0);
-    }
-
-    #[test]
-    fn supervised_matches_plain_campaign_on_the_clean_path() {
-        let seeds: Vec<u64> = (100..140).collect();
-        let plain = crate::campaign::run_campaign(
-            &seeds,
-            crate::campaign::CampaignOptions::default(),
-            |seed| Ok(ok_outcome(seed)),
-        );
-        let supervised = run_supervised(
-            &seeds,
-            &SupervisorOptions {
-                threads: 4,
-                ..SupervisorOptions::default()
-            },
-            Arc::new(adapt_seed_job(|seed| Ok(ok_outcome(seed)))),
-            |_| {},
-        );
-        assert_eq!(plain.errors, supervised.errors);
-        assert_eq!(plain.outcomes.len(), supervised.outcomes.len());
-        for (a, b) in plain.outcomes.iter().zip(&supervised.outcomes) {
-            assert!(a.matches(b));
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::protocol::{
 use crate::queue::{Admission, AdmissionError};
 use sentomist_apps::{bundled_program, mine_corpus, CorpusMineOptions, HuntCase, Mode, Variant};
 use sentomist_core::hunt::InvariantPolicy;
-use sentomist_core::supervise::{supervise_once, RunFailure, SupervisorOptions};
+use sentomist_core::supervise::{supervise_once, RunContext, RunFailure, SupervisorOptions};
 use sentomist_tracestore::TraceStore;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -644,9 +644,7 @@ fn execute_supervised(serial: u64, request: Request, shared: &Arc<Shared>) -> Re
     let report = supervise_once(
         serial,
         &options,
-        Arc::new(move |_ctx: &sentomist_core::supervise::RunContext| {
-            handle_request(&request, &handler_shared)
-        }),
+        Arc::new(move |_ctx: &RunContext| handle_request(&request, &handler_shared)),
     );
     match (report.outcome, report.error) {
         (Some(bytes), _) => Response::Ok(bytes),
@@ -682,8 +680,10 @@ fn handle_request(request: &Request, shared: &Arc<Shared>) -> Result<Vec<u8>, Ru
                 Some(case.as_str())
             };
             let mode = Mode::resolve(case, *period, *seconds, *nu).map_err(|e| fatal(e.0))?;
-            let job = mode.job().map_err(|e| fatal(e.0))?;
-            let outcome = job(*seed).map_err(RunFailure::Transient)?;
+            let job = mode.supervised_traced_job().map_err(|e| fatal(e.0))?;
+            // The campaign's own job and failure classes; the worker's
+            // supervision envelope already surrounds this call.
+            let (outcome, _) = job(&RunContext::new(*seed, 1, None))?;
             render_json(&outcome)
         }
         Request::Mine { store, quarantine } => mine_with_cache(store, *quarantine, shared),

@@ -19,7 +19,7 @@ use sentomist::apps::{
 use sentomist::core::campaign::{CampaignResult, RunOutcome, Verdict};
 use sentomist::core::chaos::ChaosConfig;
 use sentomist::core::supervise::{
-    run_supervised, RunContext, RunFailure, SeedReport, SupervisorOptions,
+    run_supervised, supervise_once, RunContext, RunFailure, SeedReport, SupervisorOptions,
 };
 use sentomist::core::{
     causal_chain, corroborate_with_chain, harvest_set, localize_set, CausalChain, Pipeline,
@@ -85,12 +85,13 @@ USAGE:
       state the symptom consumed.
 
   sentomist localize <trace.json> <app.s> [--irq N] [--rank R] [--min-z Z]
+                     [--detector ocsvm|pca|knn|mahalanobis|kde|kfd] [--nu X]
                      [--causal]
-      Explain the R-th most suspicious interval (default 1): which
-      instructions deviate from the population. With --causal, also
-      reconstruct the interval's causal chain and restrict the flat hit
-      list to chain members — a strictly smaller, causally ordered
-      explanation.
+      Explain the R-th most suspicious interval (default 1) of the
+      ranking --detector produces: which instructions deviate from the
+      population. With --causal, also reconstruct the interval's causal
+      chain and restrict the flat hit list to chain members — a strictly
+      smaller, causally ordered explanation.
 
   sentomist profile <trace.json> <app.s>
       Attribute executed instructions and cycles to routines (the
@@ -327,7 +328,8 @@ fn load_trace(path: &str) -> Result<Trace, Box<dyn Error>> {
 }
 
 fn cmd_assemble(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, _) = parse_flags(args);
+    let (pos, flags) = parse_flags(args);
+    reject_unknown_flags("assemble", &flags, &[])?;
     let path = pos.first().ok_or("assemble: missing <app.s>")?;
     let src = std::fs::read_to_string(path)?;
     let program = tinyvm::assemble(&src)?;
@@ -344,6 +346,7 @@ fn cmd_assemble(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (pos, flags) = parse_flags(args);
+    reject_unknown_flags("run", &flags, &["cycles", "seed", "trace"])?;
     let path = pos.first().ok_or("run: missing <app.s>")?;
     let cycles = flag_u64(&flags, "cycles", 10_000_000)?;
     let seed = flag_u64(&flags, "seed", 42)?;
@@ -377,6 +380,20 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (pos, flags) = parse_flags(args);
+    reject_unknown_flags(
+        "mine",
+        &flags,
+        &[
+            "irq",
+            "detector",
+            "nu",
+            "top",
+            "csv",
+            "corroborate",
+            "min-z",
+            "causal",
+        ],
+    )?;
     let path = pos.first().ok_or("mine: missing <trace.json>")?;
     let irq = flag_u64(&flags, "irq", 0)? as u8;
     let top = flag_u64(&flags, "top", 10)? as usize;
@@ -621,6 +638,11 @@ fn cmd_slice(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (pos, flags) = parse_flags(args);
+    reject_unknown_flags(
+        "localize",
+        &flags,
+        &["irq", "rank", "min-z", "detector", "nu", "causal"],
+    )?;
     let trace_path = pos.first().ok_or("localize: missing <trace.json>")?;
     let app_path = pos.get(1).ok_or("localize: missing <app.s>")?;
     let irq = flag_u64(&flags, "irq", 0)? as u8;
@@ -699,7 +721,8 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, _) = parse_flags(args);
+    let (pos, flags) = parse_flags(args);
+    reject_unknown_flags("profile", &flags, &[])?;
     let trace_path = pos.first().ok_or("profile: missing <trace.json>")?;
     let app_path = pos.get(1).ok_or("profile: missing <app.s>")?;
     let trace = load_trace(trace_path)?;
@@ -817,8 +840,35 @@ fn print_campaign_table(result: &CampaignResult) {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use sentomist::core::campaign::replay;
     let (_, flags) = parse_flags(args);
+    reject_unknown_flags(
+        "campaign",
+        &flags,
+        &[
+            "case",
+            "seeds",
+            "base-seed",
+            "threads",
+            "period",
+            "seconds",
+            "nu",
+            "json",
+            "progress",
+            "store",
+            "writers",
+            "resume",
+            "strict",
+            "max-retries",
+            "backoff-ms",
+            "timeout-ms",
+            "timeout-cycles",
+            "chaos",
+            "chaos-rate",
+            "stop-after",
+            "replay",
+            "seed",
+        ],
+    )?;
     let json = flags.contains_key("json");
     let mode = campaign_mode(&flags)?;
     let mut config = mode.config_entries();
@@ -829,7 +879,19 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
             .ok_or("campaign --replay needs --seed S")?
             .parse::<u64>()
             .map_err(|_| "--seed wants a number")?;
-        let outcome = replay(seed, mode.job()?).map_err(|e| format!("seed {seed}: {e}"))?;
+        // The sweep's own job, supervised as a fleet of one: no store,
+        // no chaos, no retries.
+        let traced = mode.supervised_traced_job()?;
+        let report = supervise_once(
+            seed,
+            &SupervisorOptions::default(),
+            std::sync::Arc::new(move |ctx: &RunContext| traced(ctx).map(|(outcome, _)| outcome)),
+        );
+        let Some(mut outcome) = report.outcome else {
+            let message = report.error.map(|e| e.message).unwrap_or_default();
+            return Err(format!("seed {seed}: {message}").into());
+        };
+        outcome.wall_time_ms = report.wall_time_ms;
         if json {
             let doc = Value::Map(vec![
                 (

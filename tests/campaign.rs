@@ -1,32 +1,36 @@
-//! Campaign determinism and replay contracts (the orchestrator's two
+//! Campaign determinism and replay contracts (the seed-sweep pool's two
 //! load-bearing guarantees):
 //!
 //! 1. **Thread-count invariance** — a seed sweep aggregated by the
-//!    orchestrator serializes to *byte-identical* JSON whether 1 or 4
+//!    supervised pool serializes to *byte-identical* JSON whether 1 or 4
 //!    worker threads ran it; scheduling must never leak into results.
 //! 2. **Reproduce-by-seed** — re-running any flagged seed through the
 //!    same job reproduces the original outcome exactly, down to the
 //!    trace digest (which fingerprints the full recorded execution).
 
-use sentomist::apps::experiments::trigger_job;
-use sentomist::core::campaign::{
-    replay, run_campaign, summarize, CampaignOptions, CampaignResult, Verdict,
+use sentomist::apps::trigger_job;
+use sentomist::core::campaign::{summarize, CampaignResult, RunOutcome, Verdict};
+use sentomist::core::supervise::{
+    run_supervised, supervise_once, RunContext, RunFailure, SupervisorOptions,
 };
 use serde::Serialize;
+use std::sync::Arc;
 
 /// 2-second runs at the race-friendliest period keep the sweep quick
-/// while still triggering the bug in a healthy fraction of seeds.
+/// while still triggering the bug in a healthy fraction of seeds. Each
+/// call builds a fresh job (fresh program assembly, fresh pipeline).
+fn job() -> Arc<impl Fn(&RunContext) -> Result<RunOutcome, RunFailure> + Send + Sync> {
+    let traced = trigger_job(20, 2, 0.05).expect("oscilloscope assembles");
+    Arc::new(move |ctx: &RunContext| traced(ctx).map(|(outcome, _)| outcome))
+}
+
 fn sweep(threads: usize) -> CampaignResult {
-    let job = trigger_job(20, 2, 0.05).expect("oscilloscope assembles");
     let seeds: Vec<u64> = (1000..1016).collect();
-    run_campaign(
-        &seeds,
-        CampaignOptions {
-            threads,
-            progress: false,
-        },
-        job,
-    )
+    let options = SupervisorOptions {
+        threads,
+        ..SupervisorOptions::default()
+    };
+    run_supervised(&seeds, &options, job(), |_| {})
 }
 
 /// The serialized campaign document a consumer would persist: outcomes,
@@ -94,10 +98,11 @@ fn replaying_a_flagged_seed_reproduces_outcome_and_digest() {
         .next()
         .expect("at least one seed triggers the race");
 
-    // A fresh job (fresh program assembly, fresh pipeline) — only the
-    // seed carries over, exactly the reproduce-by-seed workflow.
-    let job = trigger_job(20, 2, 0.05).expect("oscilloscope assembles");
-    let replayed = replay(flagged.seed, job).expect("replay completes");
+    // A fresh job — only the seed carries over, exactly the
+    // reproduce-by-seed workflow.
+    let replayed = supervise_once(flagged.seed, &SupervisorOptions::default(), job())
+        .outcome
+        .expect("replay completes");
 
     assert!(
         replayed.matches(flagged),

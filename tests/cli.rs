@@ -3,7 +3,7 @@
 
 mod support;
 
-use support::{cli, workdir};
+use support::{cli, run_ok, workdir};
 
 const APP: &str = "\
 .handler TIMER0 on_timer
@@ -280,6 +280,84 @@ fn unknown_flags_are_rejected_with_usage() {
             args.join(" "),
             String::from_utf8_lossy(&out.stdout)
         );
+    }
+}
+
+/// `assemble`, `run`, `mine`, `localize`, `profile` and `campaign` reject
+/// a misspelled flag before doing any work: usage on stderr, nonzero
+/// exit, nothing on stdout — never a run with the default instead.
+#[test]
+fn misspelled_flags_are_rejected_by_every_subcommand() {
+    for (args, flag) in [
+        (vec!["assemble", "app.s", "--jsn"], "--jsn"),
+        (vec!["run", "app.s", "--cycle", "100"], "--cycle"),
+        (vec!["mine", "t.json", "--detecter", "pca"], "--detecter"),
+        (vec!["localize", "t.json", "app.s", "--rnak", "2"], "--rnak"),
+        (vec!["profile", "t.json", "app.s", "--csv", "out"], "--csv"),
+        (
+            vec![
+                "campaign",
+                "--seeds",
+                "2",
+                "--seconds",
+                "1",
+                "--thread",
+                "4",
+            ],
+            "--thread",
+        ),
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        let invocation = args.join(" ");
+        assert!(
+            !out.status.success(),
+            "`sentomist {invocation}` should exit nonzero"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "`sentomist {invocation}` stderr lacks the unknown-flag error:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("USAGE:"),
+            "`sentomist {invocation}` stderr lacks the usage text:\n{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "`sentomist {invocation}` leaked onto stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+/// `campaign --replay` runs a seed through the sweep's own job: every
+/// row of a recorded trigger and case-III campaign replays to exactly
+/// its `outcomes` entry.
+#[test]
+fn replay_reproduces_every_campaign_row() {
+    for (selection, seeds) in [(["--seconds", "1"], 4), (["--case", "3"], 2)] {
+        let (stdout, _) = run_ok(
+            cli()
+                .args(["campaign", "--seeds", &seeds.to_string(), "--json"])
+                .args(selection),
+        );
+        let doc: serde::Value = serde_json::from_str(&stdout).unwrap();
+        let rows = doc.get("outcomes").and_then(|o| o.as_seq()).unwrap();
+        assert_eq!(rows.len(), seeds, "{selection:?}: every seed completes");
+        for row in rows {
+            let seed = support::get_u64(row, "seed").to_string();
+            let (replayed, _) = run_ok(
+                cli()
+                    .args(["campaign", "--replay", "--seed", &seed, "--json"])
+                    .args(selection),
+            );
+            let replayed: serde::Value = serde_json::from_str(&replayed).unwrap();
+            assert_eq!(
+                replayed.get("outcome"),
+                Some(row),
+                "{selection:?} seed {seed}: replay diverged from the campaign row"
+            );
+        }
     }
 }
 

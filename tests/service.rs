@@ -357,6 +357,45 @@ fn lint_and_hunt_jobs_match_cli_output() {
     daemon.shutdown_clean();
 }
 
+/// Daemon `Emulate` runs the campaign's own job: its reply is the
+/// outcome `campaign --replay` prints for the same mode and seed.
+#[test]
+fn emulate_job_matches_cli_replay() {
+    let daemon = Daemon::spawn(&[]);
+    for (case, seed) in [("", 1003u64), ("3", 1001)] {
+        let reply = daemon.ok(&Request::Emulate {
+            case: case.into(),
+            period: 20,
+            seconds: 2,
+            nu: 0.05,
+            seed,
+        });
+        let reply: Value =
+            serde_json::from_str(std::str::from_utf8(&reply).expect("reply utf-8")).unwrap();
+        let mut replay = cli();
+        replay.args([
+            "campaign",
+            "--replay",
+            "--seed",
+            &seed.to_string(),
+            "--json",
+        ]);
+        if case.is_empty() {
+            replay.args(["--period", "20", "--seconds", "2", "--nu", "0.05"]);
+        } else {
+            replay.args(["--case", case]);
+        }
+        let (stdout, _) = run_ok(&mut replay);
+        let doc: Value = serde_json::from_str(&stdout).unwrap();
+        assert_eq!(
+            doc.get("outcome"),
+            Some(&reply),
+            "case {case:?} seed {seed}: daemon Emulate diverged from the CLI replay"
+        );
+    }
+    daemon.shutdown_clean();
+}
+
 #[test]
 fn loadgen_ramp_writes_a_bench_report() {
     let dir = workdir("service-ramp");
