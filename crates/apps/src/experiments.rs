@@ -63,6 +63,12 @@ impl DetectorKind {
         ]
     }
 
+    /// The kind whose [`name`](DetectorKind::name) is `name`, with `nu`
+    /// for the kinds that take one; `None` for an unknown name.
+    pub fn from_name(name: &str, nu: f64) -> Option<DetectorKind> {
+        DetectorKind::all(nu).into_iter().find(|k| k.name() == name)
+    }
+
     /// Builds the pipeline for this detector.
     pub fn pipeline(self) -> Pipeline {
         match self {

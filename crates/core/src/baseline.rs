@@ -9,8 +9,8 @@
 //! runs.
 
 use crate::pipeline::PipelineError;
-use crate::sample::{Sample, SampleSet};
-use mlcore::{MlError, OcSvmModel, OneClassSvm, Scaler};
+use crate::sample::SampleSet;
+use mlcore::{rank_ascending, MlError, OcSvmModel, OneClassSvm, Scaler};
 use serde::{Deserialize, Serialize};
 
 /// A frozen reference model: scaler + fitted one-class SVM.
@@ -18,20 +18,19 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use sentomist_core::{baseline::BaselineModel, Sample, SampleIndex};
+/// use mlcore::FeatureMatrix;
+/// use sentomist_core::{baseline::BaselineModel, SampleIndex, SampleMeta, SampleSet};
 /// # use sentomist_trace::EventInterval;
-/// # fn iv() -> EventInterval {
-/// #     EventInterval { irq: 0, start_index: 0, end_index: 1, last_run_index: None,
-/// #         start_cycle: 0, end_cycle: 1, task_count: 0 }
-/// # }
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let reference: Vec<Sample> = (0..40)
-///     .map(|i| Sample {
-///         index: SampleIndex::Seq(i),
-///         interval: iv(),
-///         features: vec![10.0 + (i % 3) as f64, 5.0],
-///     })
-///     .collect();
+/// # let interval = EventInterval { irq: 0, start_index: 0, end_index: 1,
+/// #     last_run_index: None, start_cycle: 0, end_cycle: 1, task_count: 0 };
+/// let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![10.0 + (i % 3) as f64, 5.0]).collect();
+/// let reference = SampleSet {
+///     meta: (0..40)
+///         .map(|seq| SampleMeta { index: SampleIndex::Seq(seq), interval })
+///         .collect(),
+///     features: FeatureMatrix::from_rows(&rows)?,
+/// };
 /// let model = BaselineModel::fit(&reference, 0.1)?;
 /// // A later run's interval that matches the baseline scores high...
 /// let normal = model.score(&[10.0, 5.0]);
@@ -50,20 +49,19 @@ pub struct BaselineModel {
 }
 
 impl BaselineModel {
-    /// Fits a baseline on reference samples with the given ν.
+    /// Fits a baseline on a reference sample set with the given ν.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::NoSamples`] / [`PipelineError::DimensionMismatch`]
-    /// on bad input; [`PipelineError::Detector`] if the solver fails.
-    pub fn fit(reference: &[Sample], nu: f64) -> Result<BaselineModel, PipelineError> {
+    /// [`PipelineError::NoSamples`] on an empty set;
+    /// [`PipelineError::Detector`] if the solver fails.
+    pub fn fit(reference: &SampleSet, nu: f64) -> Result<BaselineModel, PipelineError> {
         if reference.is_empty() {
             return Err(PipelineError::NoSamples);
         }
-        let dimension = reference[0].features.len();
-        let set = SampleSet::from_samples(reference).ok_or(PipelineError::DimensionMismatch)?;
-        let scaler = Scaler::fit(&set.features);
-        let mut scaled = set.features;
+        let dimension = reference.features.cols();
+        let scaler = Scaler::fit(&reference.features);
+        let mut scaled = reference.features.clone();
         scaler.transform_in_place(&mut scaled);
         let model = OneClassSvm::with_nu(nu)
             .fit(&scaled)
@@ -86,58 +84,42 @@ impl BaselineModel {
         self.model.decide(&self.scaler.transform(features))
     }
 
-    /// Scores a batch of samples, returning `(index-in-input, score)`
-    /// sorted ascending (most deviating first).
-    pub fn screen(&self, samples: &[Sample]) -> Result<Vec<(usize, f64)>, MlError> {
-        if samples.iter().any(|s| s.features.len() != self.dimension) {
+    /// Scores a later run's sample set, returning `(row, score)` pairs in
+    /// [`rank_ascending`] order: most deviating first, ties by row.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::RaggedSamples`] if a non-empty set's feature width
+    /// differs from the fitted one.
+    pub fn screen(&self, samples: &SampleSet) -> Result<Vec<(usize, f64)>, MlError> {
+        if !samples.is_empty() && samples.features.cols() != self.dimension {
             return Err(MlError::RaggedSamples);
         }
-        let mut scored: Vec<(usize, f64)> = samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, self.score(&s.features)))
+        let scores: Vec<f64> = samples
+            .features
+            .rows_iter()
+            .map(|row| self.score(row))
             .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        Ok(scored)
-    }
-
-    /// Fraction of reference-class support vectors (a capacity indicator).
-    pub fn support_fraction(&self) -> f64 {
-        // The model was fit on the reference set; ν lower-bounds this.
-        self.model.num_support() as f64 / self.dimension.max(1) as f64
+        Ok(rank_ascending(&scores)
+            .into_iter()
+            .map(|i| (i, scores[i]))
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::SampleIndex;
-    use sentomist_trace::EventInterval;
+    use crate::sample::tests::set;
 
-    fn iv() -> EventInterval {
-        EventInterval {
-            irq: 0,
-            start_index: 0,
-            end_index: 1,
-            last_run_index: None,
-            start_cycle: 0,
-            end_cycle: 1,
-            task_count: 0,
-        }
-    }
-
-    fn sample(seq: u32, features: Vec<f64>) -> Sample {
-        Sample {
-            index: SampleIndex::Seq(seq),
-            interval: iv(),
-            features,
-        }
-    }
-
-    fn reference() -> Vec<Sample> {
+    fn reference_rows() -> Vec<Vec<f64>> {
         (0..40)
-            .map(|i| sample(i, vec![100.0 + (i % 4) as f64, 7.0, (i % 3) as f64]))
+            .map(|i| vec![100.0 + (i % 4) as f64, 7.0, (i % 3) as f64])
             .collect()
+    }
+
+    fn reference() -> SampleSet {
+        set(&reference_rows())
     }
 
     #[test]
@@ -151,9 +133,9 @@ mod tests {
     #[test]
     fn screen_ranks_a_later_run() {
         let model = BaselineModel::fit(&reference(), 0.1).unwrap();
-        let mut later = reference();
-        later.push(sample(99, vec![160.0, 7.0, 9.0]));
-        let screened = model.screen(&later).unwrap();
+        let mut later = reference_rows();
+        later.push(vec![160.0, 7.0, 9.0]);
+        let screened = model.screen(&set(&later)).unwrap();
         assert_eq!(screened[0].0, 40, "the injected deviant screens first");
     }
 
@@ -174,14 +156,13 @@ mod tests {
     #[test]
     fn dimension_mismatch_rejected() {
         let model = BaselineModel::fit(&reference(), 0.1).unwrap();
-        let bad = vec![sample(0, vec![1.0])];
-        assert!(model.screen(&bad).is_err());
+        assert!(model.screen(&set(&[vec![1.0]])).is_err());
     }
 
     #[test]
     fn empty_reference_rejected() {
         assert!(matches!(
-            BaselineModel::fit(&[], 0.1),
+            BaselineModel::fit(&SampleSet::empty(), 0.1),
             Err(PipelineError::NoSamples)
         ));
     }

@@ -177,7 +177,7 @@ fn warning_anchors(warning: &Warning, slice: &staticlint::Slice) -> bool {
 /// Reconstructs the causal chain of one symptom interval.
 ///
 /// `seeds` are the dynamically implicated pcs (typically
-/// [`localize`](crate::localize::localize) hits); seeds outside the
+/// [`localize_set`](crate::localize::localize_set) hits); seeds outside the
 /// program or in statically unreachable code are dropped. Returns
 /// `Ok(None)` when no chain exists: the program lints clean (every fixed
 /// variant), no seed survives validation, or no warning-anchored

@@ -2,9 +2,9 @@
 //! output is a *test verdict*, not a figure.
 //!
 //! A hunt fans seeded scenarios over the supervised worker pool
-//! ([`run_supervised_typed`](crate::supervise::run_supervised_typed)),
-//! mines every run, and checks each run's [`Evidence`] against an
-//! explicit [invariant registry](registry). Violations aggregate into a
+//! ([`run_supervised_typed`]), mines every run, and checks each run's
+//! [`Evidence`] against an explicit invariant registry
+//! ([`INVARIANTS`]). Violations aggregate into a
 //! [`HuntReport`]: per-invariant detection rates, the violating seeds,
 //! and a copy-pasteable `hunt --replay --seed N` repro line per bug —
 //! the shape of a VOPR-style fuzzing bug report.

@@ -27,8 +27,9 @@
 //!   sweeps checked against an explicit invariant registry, aggregated
 //!   into a `BUG_REPORT.md`-shaped artifact with per-invariant detection
 //!   rates and seed-exact repro lines;
-//! * [`localize()`](localize::localize) — the paper's future-work extension: map an outlier's
-//!   deviating instruction counts back to assembly lines and routines.
+//! * [`localize_set`] — the paper's future-work extension: map an
+//!   outlier's deviating instruction counts back to assembly lines and
+//!   routines.
 //!
 //! ```
 //! # use std::sync::Arc;
@@ -73,7 +74,6 @@ pub mod chaos;
 pub mod corpus;
 pub mod hunt;
 pub mod localize;
-pub mod monitor;
 pub mod pipeline;
 pub mod report;
 pub mod sample;
@@ -92,13 +92,12 @@ pub use hunt::{
     InvariantStats, IterationRecord, TargetOutcome, TargetReport, Violation, INVARIANTS,
 };
 pub use localize::{
-    corroborate, corroborate_with_chain, localize, localize_set, CorroboratedInstruction,
+    corroborate, corroborate_with_chain, localize_set, CorroboratedInstruction,
     ImplicatedInstruction,
 };
-pub use monitor::WindowedMiner;
 pub use pipeline::{Pipeline, PipelineError};
 pub use report::{RankedSample, Report};
-pub use sample::{harvest, harvest_set, Sample, SampleIndex, SampleMeta, SampleSet};
+pub use sample::{harvest_set, SampleIndex, SampleMeta, SampleSet};
 pub use supervise::{
     backoff_delay_ms, run_supervised, run_supervised_typed, supervise_once, RunContext, RunFailure,
     SeedReport, SupervisedResult, SupervisorOptions, TypedReport,

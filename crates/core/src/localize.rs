@@ -8,7 +8,7 @@
 //! the abnormal behavior happened.
 
 use crate::causal::CausalChain;
-use crate::sample::{Sample, SampleSet};
+use crate::sample::SampleSet;
 use serde::{Deserialize, Serialize};
 use staticlint::{LintReport, WarningKind};
 use tinyvm::Program;
@@ -32,51 +32,37 @@ pub struct ImplicatedInstruction {
 
 /// Ranks instructions by the flagged sample's deviation from the
 /// population mean, descending; instructions whose counts match the
-/// population (z below `min_z`) are omitted.
+/// population (z below `min_z`) are omitted. Each instruction's column is
+/// read straight out of the set's dense feature matrix.
 ///
 /// # Examples
 ///
 /// ```
-/// use sentomist_core::{localize, Sample, SampleIndex};
+/// use mlcore::FeatureMatrix;
+/// use sentomist_core::{localize_set, SampleIndex, SampleMeta, SampleSet};
 /// # use sentomist_trace::EventInterval;
-/// # fn iv() -> EventInterval {
-/// #     EventInterval { irq: 0, start_index: 0, end_index: 1, last_run_index: None,
-/// #         start_cycle: 0, end_cycle: 1, task_count: 0 }
-/// # }
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let interval = EventInterval { irq: 0, start_index: 0, end_index: 1,
+/// #     last_run_index: None, start_cycle: 0, end_cycle: 1, task_count: 0 };
 /// let program = tinyvm::assemble("main:\n nop\n nop\n ret\n")?;
-/// let mut samples: Vec<Sample> = (0..20)
-///     .map(|i| Sample { index: SampleIndex::Seq(i), interval: iv(),
-///                       features: vec![1.0, 1.0, 1.0] })
-///     .collect();
+/// let mut rows = vec![vec![1.0, 1.0, 1.0]; 20];
 /// // The outlier executed instruction 1 five times instead of once.
-/// samples.push(Sample { index: SampleIndex::Seq(20), interval: iv(),
-///                       features: vec![1.0, 5.0, 1.0] });
-/// let hits = localize(&samples, 20, &program, 1.0);
+/// rows.push(vec![1.0, 5.0, 1.0]);
+/// let samples = SampleSet {
+///     meta: (0..21)
+///         .map(|seq| SampleMeta { index: SampleIndex::Seq(seq), interval })
+///         .collect(),
+///     features: FeatureMatrix::from_rows(&rows)?,
+/// };
+/// let hits = localize_set(&samples, 20, &program, 1.0);
 /// assert_eq!(hits[0].pc, 1);
 /// # Ok(())
 /// # }
 /// ```
 ///
-/// `flagged` indexes into `samples`. The population statistics include the
+/// `flagged` indexes into `set`. The population statistics include the
 /// flagged sample itself (with hundreds of samples the bias is negligible,
 /// and it keeps the estimator well-defined for tiny populations).
-///
-/// # Panics
-///
-/// Panics if `flagged` is out of range or samples are ragged.
-pub fn localize(
-    samples: &[Sample],
-    flagged: usize,
-    program: &Program,
-    min_z: f64,
-) -> Vec<ImplicatedInstruction> {
-    let set = SampleSet::from_samples(samples).expect("ragged samples");
-    localize_set(&set, flagged, program, min_z)
-}
-
-/// [`localize`] over a [`SampleSet`]: the same deviation ranking, reading
-/// instruction columns straight out of the set's dense feature matrix.
 ///
 /// # Panics
 ///
@@ -221,37 +207,16 @@ pub fn corroborate_with_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::SampleIndex;
-    use sentomist_trace::EventInterval;
-
-    fn iv() -> EventInterval {
-        EventInterval {
-            irq: 0,
-            start_index: 0,
-            end_index: 1,
-            last_run_index: None,
-            start_cycle: 0,
-            end_cycle: 1,
-            task_count: 0,
-        }
-    }
-
-    fn sample(features: Vec<f64>) -> Sample {
-        Sample {
-            index: SampleIndex::Seq(0),
-            interval: iv(),
-            features,
-        }
-    }
+    use crate::sample::tests::set;
 
     #[test]
     fn implicates_the_deviant_instruction() {
         let program = tinyvm::assemble("main:\n nop\n nop\n nop\n ret\n").unwrap();
-        let mut samples: Vec<Sample> = (0..20).map(|_| sample(vec![1.0, 1.0, 5.0, 1.0])).collect();
+        let mut rows = vec![vec![1.0, 1.0, 5.0, 1.0]; 20];
         // The flagged sample executed instruction 1 twice (the paper's
         // double-execution symptom).
-        samples.push(sample(vec![1.0, 2.0, 5.0, 1.0]));
-        let hits = localize(&samples, 20, &program, 0.5);
+        rows.push(vec![1.0, 2.0, 5.0, 1.0]);
+        let hits = localize_set(&set(&rows), 20, &program, 0.5);
         assert!(!hits.is_empty());
         assert_eq!(hits[0].pc, 1);
         assert_eq!(hits[0].observed, 2.0);
@@ -263,8 +228,7 @@ mod tests {
     #[test]
     fn matching_counts_not_implicated() {
         let program = tinyvm::assemble("main:\n nop\n ret\n").unwrap();
-        let samples: Vec<Sample> = (0..10).map(|_| sample(vec![3.0, 1.0])).collect();
-        let hits = localize(&samples, 0, &program, 0.5);
+        let hits = localize_set(&set(&vec![vec![3.0, 1.0]; 10]), 0, &program, 0.5);
         assert!(hits.is_empty());
     }
 
@@ -354,9 +318,9 @@ mod tests {
     #[test]
     fn results_sorted_by_z_descending() {
         let program = tinyvm::assemble("main:\n nop\n nop\n ret\n").unwrap();
-        let mut samples: Vec<Sample> = (0..30).map(|_| sample(vec![1.0, 1.0, 1.0])).collect();
-        samples.push(sample(vec![2.0, 9.0, 1.0]));
-        let hits = localize(&samples, 30, &program, 0.5);
+        let mut rows = vec![vec![1.0, 1.0, 1.0]; 30];
+        rows.push(vec![2.0, 9.0, 1.0]);
+        let hits = localize_set(&set(&rows), 30, &program, 0.5);
         assert!(hits.len() >= 2);
         assert!(hits[0].z_score >= hits[1].z_score);
         assert_eq!(hits[0].pc, 1);

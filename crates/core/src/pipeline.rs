@@ -6,7 +6,7 @@
 //! is cloned anywhere between harvesting and the final report.
 
 use crate::report::{RankedSample, Report};
-use crate::sample::{Sample, SampleSet};
+use crate::sample::SampleSet;
 use mlcore::{normalize_scores, rank_ascending, MlError, OneClassSvm, OutlierDetector, Scaler};
 use std::error::Error;
 use std::fmt;
@@ -16,8 +16,6 @@ use std::fmt;
 pub enum PipelineError {
     /// No samples were supplied.
     NoSamples,
-    /// Samples disagree on feature dimensionality.
-    DimensionMismatch,
     /// The plug-in detector failed.
     Detector(MlError),
 }
@@ -26,9 +24,6 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::NoSamples => f.write_str("no samples to rank"),
-            PipelineError::DimensionMismatch => {
-                f.write_str("samples have mismatched feature dimensions")
-            }
             PipelineError::Detector(e) => write!(f, "detector failed: {e}"),
         }
     }
@@ -55,30 +50,24 @@ impl From<MlError> for PipelineError {
 /// # Examples
 ///
 /// ```
-/// use mlcore::OneClassSvm;
-/// use sentomist_core::{Pipeline, Sample, SampleIndex};
+/// use mlcore::{FeatureMatrix, OneClassSvm};
+/// use sentomist_core::{Pipeline, SampleIndex, SampleMeta, SampleSet};
 /// # use sentomist_trace::EventInterval;
-/// # fn iv() -> EventInterval {
-/// #     EventInterval { irq: 0, start_index: 0, end_index: 1, last_run_index: None,
-/// #         start_cycle: 0, end_cycle: 1, task_count: 0 }
-/// # }
+/// # let interval = EventInterval { irq: 0, start_index: 0, end_index: 1,
+/// #     last_run_index: None, start_cycle: 0, end_cycle: 1, task_count: 0 };
 ///
-/// let mut samples: Vec<Sample> = (0..30)
-///     .map(|i| Sample {
-///         index: SampleIndex::Seq(i + 1),
-///         interval: iv(),
-///         features: vec![10.0, (i % 3) as f64],
-///     })
-///     .collect();
-/// samples.push(Sample {
-///     index: SampleIndex::Seq(31),
-///     interval: iv(),
-///     features: vec![55.0, 9.0], // the odd one out
-/// });
+/// let mut rows: Vec<Vec<f64>> = (0..30).map(|i| vec![10.0, (i % 3) as f64]).collect();
+/// rows.push(vec![55.0, 9.0]); // the odd one out
+/// let samples = SampleSet {
+///     meta: (1..=31)
+///         .map(|seq| SampleMeta { index: SampleIndex::Seq(seq), interval })
+///         .collect(),
+///     features: FeatureMatrix::from_rows(&rows)?,
+/// };
 /// let pipeline = Pipeline::new(Box::new(OneClassSvm::with_nu(0.1)));
-/// let report = pipeline.rank(samples)?;
+/// let report = pipeline.rank_set(samples)?;
 /// assert_eq!(report.ranking[0].index, SampleIndex::Seq(31));
-/// # Ok::<(), sentomist_core::PipelineError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Pipeline {
     detector: Box<dyn OutlierDetector>,
@@ -147,22 +136,6 @@ impl Pipeline {
             ranking,
         })
     }
-
-    /// Scores and ranks individually-owned samples — a shim over
-    /// [`Pipeline::rank_set`] that packs the rows into one dense matrix
-    /// first (a single flat allocation, no per-row clone).
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::NoSamples`] / [`PipelineError::DimensionMismatch`]
-    /// on bad input; [`PipelineError::Detector`] if the detector fails.
-    pub fn rank(&self, samples: Vec<Sample>) -> Result<Report, PipelineError> {
-        if samples.is_empty() {
-            return Err(PipelineError::NoSamples);
-        }
-        let set = SampleSet::from_samples(&samples).ok_or(PipelineError::DimensionMismatch)?;
-        self.rank_set(set)
-    }
 }
 
 impl fmt::Debug for Pipeline {
@@ -177,41 +150,21 @@ impl fmt::Debug for Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::tests::set;
     use crate::sample::SampleIndex;
-    use sentomist_trace::EventInterval;
 
-    fn iv() -> EventInterval {
-        EventInterval {
-            irq: 0,
-            start_index: 0,
-            end_index: 1,
-            last_run_index: None,
-            start_cycle: 0,
-            end_cycle: 1,
-            task_count: 0,
-        }
-    }
-
-    fn sample(seq: u32, features: Vec<f64>) -> Sample {
-        Sample {
-            index: SampleIndex::Seq(seq),
-            interval: iv(),
-            features,
-        }
-    }
-
-    fn cluster_plus_outlier() -> Vec<Sample> {
-        let mut v: Vec<Sample> = (0..40)
-            .map(|i| sample(i + 1, vec![100.0 + (i % 4) as f64, 50.0, (i % 3) as f64]))
+    fn cluster_plus_outlier() -> SampleSet {
+        let mut rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![100.0 + (i % 4) as f64, 50.0, (i % 3) as f64])
             .collect();
-        v.push(sample(41, vec![200.0, 50.0, 9.0]));
-        v
+        rows.push(vec![200.0, 50.0, 9.0]);
+        set(&rows)
     }
 
     #[test]
     fn outlier_ranks_first_and_scores_normalized() {
         let report = Pipeline::default_ocsvm(0.1)
-            .rank(cluster_plus_outlier())
+            .rank_set(cluster_plus_outlier())
             .unwrap();
         assert_eq!(report.ranking[0].index, SampleIndex::Seq(41));
         let max = report
@@ -226,17 +179,10 @@ mod tests {
     #[test]
     fn empty_input_rejected() {
         assert_eq!(
-            Pipeline::default_ocsvm(0.1).rank(vec![]).unwrap_err(),
+            Pipeline::default_ocsvm(0.1)
+                .rank_set(SampleSet::empty())
+                .unwrap_err(),
             PipelineError::NoSamples
-        );
-    }
-
-    #[test]
-    fn ragged_input_rejected() {
-        let samples = vec![sample(1, vec![1.0]), sample(2, vec![1.0, 2.0])];
-        assert_eq!(
-            Pipeline::default_ocsvm(0.5).rank(samples).unwrap_err(),
-            PipelineError::DimensionMismatch
         );
     }
 
@@ -245,13 +191,14 @@ mod tests {
         // Cluster with two perfectly correlated dimensions; the outlier
         // breaks the correlation (stays in range, so scaling does not mask
         // it) — a shape every detector family should flag.
-        let mut samples: Vec<Sample> = (0..40)
+        let mut rows: Vec<Vec<f64>> = (0..40)
             .map(|i| {
                 let t = (i % 5) as f64;
-                sample(i + 1, vec![100.0 + t, 50.0, 10.0 + t])
+                vec![100.0 + t, 50.0, 10.0 + t]
             })
             .collect();
-        samples.push(sample(41, vec![103.0, 50.0, 2.0]));
+        rows.push(vec![103.0, 50.0, 2.0]);
+        let samples = set(&rows);
         for det in [
             Box::new(mlcore::KnnDetector::default()) as Box<dyn OutlierDetector>,
             Box::new(mlcore::PcaDetector::default()),
@@ -259,7 +206,7 @@ mod tests {
             Box::new(mlcore::OneClassSvm::with_nu(0.1)),
         ] {
             let name = det.name();
-            let report = Pipeline::new(det).rank(samples.clone()).unwrap();
+            let report = Pipeline::new(det).rank_set(samples.clone()).unwrap();
             assert_eq!(
                 report.ranking[0].index,
                 SampleIndex::Seq(41),
@@ -272,34 +219,28 @@ mod tests {
     #[test]
     fn scaling_ablation_changes_nothing_for_prescaled_data() {
         // Features already in [0,1]: scaled and unscaled agree on ranking.
-        let samples: Vec<Sample> = (0..20)
-            .map(|i| sample(i + 1, vec![(i % 2) as f64 * 0.01, 0.5]))
-            .chain(std::iter::once(sample(21, vec![1.0, 0.0])))
+        let rows: Vec<Vec<f64>> = (0..20)
+            .map(|i| vec![(i % 2) as f64 * 0.01, 0.5])
+            .chain(std::iter::once(vec![1.0, 0.0]))
             .collect();
-        let with = Pipeline::default_ocsvm(0.1).rank(samples.clone()).unwrap();
+        let samples = set(&rows);
+        let with = Pipeline::default_ocsvm(0.1)
+            .rank_set(samples.clone())
+            .unwrap();
         let without = Pipeline::default_ocsvm(0.1)
             .without_scaling()
-            .rank(samples)
+            .rank_set(samples)
             .unwrap();
         assert_eq!(with.ranking[0].index, without.ranking[0].index);
     }
 
     #[test]
-    fn rank_and_rank_set_agree_exactly() {
-        let samples = cluster_plus_outlier();
-        let set = SampleSet::from_samples(&samples).unwrap();
-        let via_rank = Pipeline::default_ocsvm(0.1).rank(samples).unwrap();
-        let via_set = Pipeline::default_ocsvm(0.1).rank_set(set).unwrap();
-        assert_eq!(via_rank, via_set);
-    }
-
-    #[test]
     fn deterministic_ranking() {
         let a = Pipeline::default_ocsvm(0.1)
-            .rank(cluster_plus_outlier())
+            .rank_set(cluster_plus_outlier())
             .unwrap();
         let b = Pipeline::default_ocsvm(0.1)
-            .rank(cluster_plus_outlier())
+            .rank_set(cluster_plus_outlier())
             .unwrap();
         let ia: Vec<_> = a.ranking.iter().map(|r| r.index).collect();
         let ib: Vec<_> = b.ranking.iter().map(|r| r.index).collect();

@@ -5,9 +5,8 @@
 //! metadata (label + interval) alongside a dense row-major
 //! [`FeatureMatrix`] holding one instruction-counter row per interval.
 //! Features are written straight from the trace's counter table into the
-//! matrix rows — no intermediate per-sample allocation. The per-sample
-//! [`Sample`] struct remains for call sites that work with individual
-//! intervals (e.g. localization).
+//! matrix rows — no intermediate per-sample allocation. Ranking,
+//! localization and the frozen baseline all take a set.
 
 use mlcore::FeatureMatrix;
 use sentomist_trace::{extract, CounterTable, EventInterval, ExtractError, Trace};
@@ -46,76 +45,6 @@ impl fmt::Display for SampleIndex {
             SampleIndex::NodeSeq { node, seq } => write!(f, "[{node}, {seq}]"),
         }
     }
-}
-
-/// One featurized event-handling interval, ready for outlier detection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sample {
-    /// Table label.
-    pub index: SampleIndex,
-    /// The underlying interval.
-    pub interval: EventInterval,
-    /// Raw (unscaled) instruction-counter features — Definition 4.
-    pub features: Vec<f64>,
-}
-
-/// Harvests the samples of one event type from a recorded trace:
-/// anatomizes the trace (Figure 4), featurizes each interval of `irq`
-/// (Definition 4), and labels them via `label(seq, interval)` with `seq`
-/// the 1-based chronological order.
-///
-/// # Errors
-///
-/// Propagates [`ExtractError`] for ill-formed traces.
-///
-/// # Examples
-///
-/// ```
-/// # use std::sync::Arc;
-/// # use tinyvm::{asm, devices::NodeConfig, node::Node};
-/// # use sentomist_core::sample::{harvest, SampleIndex};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// # let program = Arc::new(asm::assemble("\
-/// # .handler TIMER0 h
-/// # main:
-/// #  ldi r1, 4
-/// #  out TIMER0_PERIOD, r1
-/// #  ldi r1, 1
-/// #  out TIMER0_CTRL, r1
-/// #  ret
-/// # h:
-/// #  reti
-/// # ")?);
-/// let mut node = Node::new(program.clone(), NodeConfig::default());
-/// let mut rec = sentomist_trace::Recorder::new(program.len());
-/// node.run(200_000, &mut rec)?;
-/// let trace = rec.into_trace();
-/// let samples = harvest(&trace, tinyvm::isa::irq::TIMER0, |seq, _| {
-///     SampleIndex::Seq(seq)
-/// })?;
-/// assert!(!samples.is_empty());
-/// # Ok(())
-/// # }
-/// ```
-pub fn harvest(
-    trace: &Trace,
-    irq: u8,
-    mut label: impl FnMut(u32, &EventInterval) -> SampleIndex,
-) -> Result<Vec<Sample>, ExtractError> {
-    let extraction = extract(trace)?;
-    let table = CounterTable::try_new(trace)?;
-    extraction
-        .for_irq(irq)
-        .into_iter()
-        .enumerate()
-        .map(|(i, interval)| {
-            Ok(Sample {
-                index: label(i as u32 + 1, &interval),
-                features: table.try_features(&interval)?,
-                interval,
-            })
-        })
-        .collect()
 }
 
 /// Metadata of one harvested interval: its table label and the interval
@@ -169,39 +98,6 @@ impl SampleSet {
         self.features.append(&other.features);
         self.meta.extend_from_slice(&other.meta);
     }
-
-    /// Packs individually-owned samples into a set (one flat allocation).
-    ///
-    /// Returns `None` if the samples disagree on feature dimensionality.
-    pub fn from_samples(samples: &[Sample]) -> Option<SampleSet> {
-        let d = samples.first().map_or(0, |s| s.features.len());
-        let mut features = FeatureMatrix::with_capacity(samples.len(), d);
-        let mut meta = Vec::with_capacity(samples.len());
-        for s in samples {
-            if s.features.len() != d {
-                return None;
-            }
-            features.push_row(&s.features);
-            meta.push(SampleMeta {
-                index: s.index,
-                interval: s.interval,
-            });
-        }
-        Some(SampleSet { meta, features })
-    }
-
-    /// Unpacks into individually-owned samples (copies each row).
-    pub fn to_samples(&self) -> Vec<Sample> {
-        self.meta
-            .iter()
-            .zip(self.features.rows_iter())
-            .map(|(m, row)| Sample {
-                index: m.index,
-                interval: m.interval,
-                features: row.to_vec(),
-            })
-            .collect()
-    }
 }
 
 /// Harvests one event type's samples as a [`SampleSet`]: intervals are
@@ -212,8 +108,7 @@ impl SampleSet {
 /// # Errors
 ///
 /// Propagates [`ExtractError`] for ill-formed traces, including
-/// structurally broken count segments
-/// ([`ExtractError::Malformed`](sentomist_trace::ExtractError::Malformed)).
+/// structurally broken count segments ([`ExtractError::Malformed`]).
 pub fn harvest_set(
     trace: &Trace,
     irq: u8,
@@ -235,8 +130,31 @@ pub fn harvest_set(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A hand-built set for unit tests: row `i` of `rows`, labeled
+    /// `Seq(i + 1)`, all on one placeholder interval.
+    pub(crate) fn set(rows: &[Vec<f64>]) -> SampleSet {
+        let interval = EventInterval {
+            irq: 0,
+            start_index: 0,
+            end_index: 1,
+            last_run_index: None,
+            start_cycle: 0,
+            end_cycle: 1,
+            task_count: 0,
+        };
+        SampleSet {
+            meta: (1..=rows.len() as u32)
+                .map(|seq| SampleMeta {
+                    index: SampleIndex::Seq(seq),
+                    interval,
+                })
+                .collect(),
+            features: FeatureMatrix::from_rows(rows).unwrap(),
+        }
+    }
 
     #[test]
     fn index_display_matches_figure_5() {
@@ -252,35 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn harvest_labels_sequentially() {
-        use sentomist_trace::TraceEvent;
-        use tinyvm::LifecycleItem;
-        let items = [
-            LifecycleItem::Int(0),
-            LifecycleItem::Reti,
-            LifecycleItem::Int(0),
-            LifecycleItem::Reti,
-        ];
-        let trace = Trace {
-            events: items
-                .iter()
-                .enumerate()
-                .map(|(i, &item)| TraceEvent {
-                    cycle: i as u64,
-                    item,
-                })
-                .collect(),
-            segments: vec![vec![0]; 5],
-            program_len: 1,
-        };
-        let samples = harvest(&trace, 0, |seq, _| SampleIndex::Seq(seq)).unwrap();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].index, SampleIndex::Seq(1));
-        assert_eq!(samples[1].index, SampleIndex::Seq(2));
-    }
-
-    #[test]
-    fn harvest_set_matches_per_sample_harvest() {
+    fn harvest_set_rows_are_the_hand_counted_segments() {
         use sentomist_trace::TraceEvent;
         use tinyvm::LifecycleItem;
         let items = [
@@ -301,69 +191,31 @@ mod tests {
             segments: vec![vec![3], vec![5], vec![0], vec![7], vec![1]],
             program_len: 1,
         };
-        let samples = harvest(&trace, 0, |seq, _| SampleIndex::Seq(seq)).unwrap();
         let set = harvest_set(&trace, 0, |seq, _| SampleIndex::Seq(seq)).unwrap();
-        assert_eq!(set.len(), samples.len());
-        for (i, s) in samples.iter().enumerate() {
-            assert_eq!(set.meta[i].index, s.index);
-            assert_eq!(set.meta[i].interval, s.interval);
-            assert_eq!(set.features.row(i), s.features.as_slice());
-        }
-        // Round trips through both representations.
-        let repacked = SampleSet::from_samples(&samples).unwrap();
-        assert_eq!(repacked, set);
-        assert_eq!(set.to_samples(), samples);
+        // Segment k holds the counts retired between events k-1 and k, so
+        // the interval Int@0..Reti@1 owns segment 1 and Int@2..Reti@3 owns
+        // segment 3; segments 0, 2 and 4 lie outside both intervals.
+        let spans: Vec<_> = set
+            .meta
+            .iter()
+            .map(|m| (m.index, m.interval.start_index, m.interval.end_index))
+            .collect();
+        assert_eq!(
+            spans,
+            [(SampleIndex::Seq(1), 0, 1), (SampleIndex::Seq(2), 2, 3)]
+        );
+        assert_eq!(set.features.to_rows(), [vec![5.0], vec![7.0]]);
     }
 
     #[test]
     fn append_pools_sets_in_order() {
-        let iv = EventInterval {
-            irq: 0,
-            start_index: 0,
-            end_index: 1,
-            last_run_index: None,
-            start_cycle: 0,
-            end_cycle: 1,
-            task_count: 0,
-        };
-        let mk = |seq: u32, f: Vec<f64>| Sample {
-            index: SampleIndex::Seq(seq),
-            interval: iv,
-            features: f,
-        };
-        let a = SampleSet::from_samples(&[mk(1, vec![1.0, 2.0])]).unwrap();
-        let b = SampleSet::from_samples(&[mk(2, vec![3.0, 4.0]), mk(3, vec![5.0, 6.0])]).unwrap();
+        let a = set(&[vec![1.0, 2.0]]);
+        let b = set(&[vec![3.0, 4.0], vec![5.0, 6.0]]);
         let mut pooled = SampleSet::empty();
         pooled.append(&a);
         pooled.append(&b);
         assert_eq!(pooled.len(), 3);
-        assert_eq!(pooled.meta[2].index, SampleIndex::Seq(3));
+        assert_eq!(pooled.meta[2].index, SampleIndex::Seq(2));
         assert_eq!(pooled.features.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn from_samples_rejects_ragged() {
-        let iv = EventInterval {
-            irq: 0,
-            start_index: 0,
-            end_index: 1,
-            last_run_index: None,
-            start_cycle: 0,
-            end_cycle: 1,
-            task_count: 0,
-        };
-        let samples = vec![
-            Sample {
-                index: SampleIndex::Seq(1),
-                interval: iv,
-                features: vec![1.0],
-            },
-            Sample {
-                index: SampleIndex::Seq(2),
-                interval: iv,
-                features: vec![1.0, 2.0],
-            },
-        ];
-        assert!(SampleSet::from_samples(&samples).is_none());
     }
 }

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example data_pollution`
 
 use sentomist::apps::{oscilloscope, run_case1, Case1Config};
-use sentomist::core::localize;
+use sentomist::core::{harvest_set, localize_set, Pipeline, SampleIndex};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = Case1Config::default();
@@ -50,17 +50,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rec = sentomist::trace::Recorder::new(program.len());
     node.run(10_000_000, &mut rec)?;
     let trace = rec.into_trace();
-    let samples = sentomist::core::harvest(&trace, sentomist::tinyvm::isa::irq::ADC, |s, _| {
-        sentomist::core::SampleIndex::Seq(s)
+    let samples = harvest_set(&trace, sentomist::tinyvm::isa::irq::ADC, |s, _| {
+        SampleIndex::Seq(s)
     })?;
-    let report = sentomist::core::Pipeline::default_ocsvm(0.05).rank(samples.clone())?;
+    let report = Pipeline::default_ocsvm(0.05).rank_set(samples.clone())?;
     let top = report.ranking[0].index;
     let flagged = samples
+        .meta
         .iter()
-        .position(|s| s.index == top)
+        .position(|m| m.index == top)
         .expect("top sample exists");
     println!("\nLocalizing the top outlier of run 1 ({top}):");
-    for hit in localize(&samples, flagged, &program, 0.9)
+    for hit in localize_set(&samples, flagged, &program, 0.9)
         .into_iter()
         .take(10)
     {

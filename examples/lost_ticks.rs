@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example lost_ticks`
 
-use sentomist::core::{harvest, localize, Pipeline, SampleIndex};
+use sentomist::core::{harvest_set, localize_set, Pipeline, SampleIndex};
 use sentomist::tinyvm::{self, devices::NodeConfig, node::Node};
 use sentomist::trace::Recorder;
 use std::sync::Arc;
@@ -71,23 +71,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Sentomist's view: rank the tick intervals.
-    let samples = harvest(&trace, tinyvm::isa::irq::TIMER0, |s, _| SampleIndex::Seq(s))?;
-    let report = Pipeline::default_ocsvm(0.05).rank(samples.clone())?;
+    let samples = harvest_set(&trace, tinyvm::isa::irq::TIMER0, |s, _| SampleIndex::Seq(s))?;
+    let report = Pipeline::default_ocsvm(0.05).rank_set(samples.clone())?;
     println!("\n{} tick intervals; most suspicious:", samples.len());
     print!("{}", report.table(6, 2));
 
     // Every flagged interval is indeed a slow one (it executed the scan).
     let scan_pc = program.label("scan").unwrap() as usize;
-    let slow_total = samples.iter().filter(|s| s.features[scan_pc] > 0.0).count();
+    let position = |index| samples.meta.iter().position(|m| m.index == index);
+    let slow = |row: usize| samples.features.get(row, scan_pc) > 0.0;
+    let slow_total = (0..samples.len()).filter(|&row| slow(row)).count();
     let slow_in_top: usize = report
         .top(slow_total)
         .iter()
-        .filter(|r| {
-            samples
-                .iter()
-                .find(|s| s.index == r.index)
-                .is_some_and(|s| s.features[scan_pc] > 0.0)
-        })
+        .filter(|r| position(r.index).is_some_and(slow))
         .count();
     println!(
         "\nground truth: {slow_total} slow instances; {slow_in_top} of the \
@@ -95,11 +92,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Localization points straight at the scan loop.
-    let flagged = samples
-        .iter()
-        .position(|s| s.index == report.ranking[0].index)
-        .unwrap();
-    if let Some(hit) = localize(&samples, flagged, &program, 2.0).first() {
+    let flagged = position(report.ranking[0].index).unwrap();
+    if let Some(hit) = localize_set(&samples, flagged, &program, 2.0).first() {
         println!(
             "top deviating instruction: pc {} in `{}` (line {}) — the \
              maintenance scan.",

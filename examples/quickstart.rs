@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use sentomist::core::{harvest, Pipeline, SampleIndex};
+use sentomist::core::{harvest_set, Pipeline, SampleIndex};
 use sentomist::tinyvm::{self, devices::NodeConfig, node::Node};
 use sentomist::trace::Recorder;
 use std::sync::Arc;
@@ -105,10 +105,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Featurize + mine: rank all TIMER0 intervals by suspicion with the
     //    default one-class SVM. (This app is healthy, so the ranking just
     //    reflects benign timing variation.)
-    let samples = harvest(&trace, tinyvm::isa::irq::TIMER0, |seq, _| {
+    let samples = harvest_set(&trace, tinyvm::isa::irq::TIMER0, |seq, _| {
         SampleIndex::Seq(seq)
     })?;
-    let report = Pipeline::default_ocsvm(0.3).rank(samples)?;
+    let report = Pipeline::default_ocsvm(0.3).rank_set(samples)?;
     println!("\nSuspicion ranking (top 5 / bottom 2):");
     print!("{}", report.table(5, 2));
     Ok(())

@@ -14,7 +14,7 @@
 
 use sentomist::apps::{
     bundled_program, bundled_slice_report, campaign_document, default_slice_seeds, fnv64,
-    mine_corpus, slice_document, CorpusMineOptions, Mode, SupervisedTracedJob,
+    mine_corpus, slice_document, CorpusMineOptions, DetectorKind, Mode, SupervisedTracedJob,
 };
 use sentomist::core::campaign::{CampaignResult, RunOutcome, Verdict};
 use sentomist::core::chaos::ChaosConfig;
@@ -22,12 +22,7 @@ use sentomist::core::supervise::{
     run_supervised, supervise_once, RunContext, RunFailure, SeedReport, SupervisorOptions,
 };
 use sentomist::core::{
-    causal_chain, corroborate_with_chain, harvest_set, localize_set, CausalChain, Pipeline,
-    SampleIndex,
-};
-use sentomist::mlcore::{
-    KdeDetector, KfdDetector, KnnDetector, MahalanobisDetector, OneClassSvm, OutlierDetector,
-    PcaDetector,
+    causal_chain, corroborate_with_chain, harvest_set, localize_set, CausalChain, SampleIndex,
 };
 use sentomist::tinyvm::{self, devices::NodeConfig, node::Node};
 use sentomist::trace::{Recorder, Trace};
@@ -70,9 +65,9 @@ USAGE:
       --json prints the report document, byte-identical to the mining
       daemon's Slice response for the bundled apps.
 
-  sentomist mine <trace.json> [--irq N] [--detector ocsvm|pca|knn|mahalanobis|kde|kfd]
-                 [--nu X] [--top K] [--csv FILE]
-                 [--corroborate <app.s>] [--min-z Z] [--causal]
+  sentomist mine <trace.json> [--irq N]
+                 [--detector ocsvm|pca|knn|mahalanobis|kde|kfd|ensemble] [--nu X]
+                 [--top K] [--csv FILE] [--corroborate <app.s>] [--min-z Z] [--causal]
       Anatomize the trace into event-handling intervals of interrupt N
       (default 0), rank them, and print the suspicion table; --csv also
       writes the full ranking for external plotting. With --corroborate,
@@ -85,7 +80,7 @@ USAGE:
       state the symptom consumed.
 
   sentomist localize <trace.json> <app.s> [--irq N] [--rank R] [--min-z Z]
-                     [--detector ocsvm|pca|knn|mahalanobis|kde|kfd] [--nu X]
+                     [--detector ocsvm|pca|knn|mahalanobis|kde|kfd|ensemble] [--nu X]
                      [--causal]
       Explain the R-th most suspicious interval (default 1) of the
       ranking --detector produces: which instructions deviate from the
@@ -309,17 +304,10 @@ fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result
     }
 }
 
-fn detector_from(flags: &HashMap<String, String>) -> Result<Box<dyn OutlierDetector>, String> {
+fn detector_from(flags: &HashMap<String, String>) -> Result<DetectorKind, String> {
     let nu = flag_f64(flags, "nu", 0.05)?;
-    match flags.get("detector").map(String::as_str).unwrap_or("ocsvm") {
-        "ocsvm" => Ok(Box::new(OneClassSvm::with_nu(nu))),
-        "pca" => Ok(Box::new(PcaDetector::default())),
-        "knn" => Ok(Box::new(KnnDetector::default())),
-        "mahalanobis" => Ok(Box::new(MahalanobisDetector::default())),
-        "kde" => Ok(Box::new(KdeDetector::default())),
-        "kfd" => Ok(Box::new(KfdDetector::default())),
-        other => Err(format!("unknown detector `{other}`")),
-    }
+    let name = flags.get("detector").map(String::as_str).unwrap_or("ocsvm");
+    DetectorKind::from_name(name, nu).ok_or_else(|| format!("unknown detector `{name}`"))
 }
 
 fn load_trace(path: &str) -> Result<Trace, Box<dyn Error>> {
@@ -410,8 +398,9 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         flags.get("detector").map(String::as_str).unwrap_or("ocsvm"),
     );
     let corroborate_app = flags.get("corroborate").filter(|s| !s.is_empty());
-    let pipeline = Pipeline::new(detector_from(&flags)?);
-    let report = pipeline.rank_set(samples.clone())?;
+    let report = detector_from(&flags)?
+        .pipeline()
+        .rank_set(samples.clone())?;
     print!("{}", report.table(top, 2));
     if let Some(csv_path) = flags.get("csv") {
         std::fs::write(csv_path, report.to_csv())?;
@@ -660,7 +649,9 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
         .into());
     }
     let samples = harvest_set(&trace, irq, |seq, _| SampleIndex::Seq(seq))?;
-    let report = Pipeline::new(detector_from(&flags)?).rank_set(samples.clone())?;
+    let report = detector_from(&flags)?
+        .pipeline()
+        .rank_set(samples.clone())?;
     let target = report
         .ranking
         .get(rank - 1)

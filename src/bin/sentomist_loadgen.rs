@@ -112,6 +112,16 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
+/// Whether `--name` is `--help` or a flag that `usage()` documents. A
+/// usage line can name several flags (`--job sleep --ms MS`), so every
+/// `--word` in the text counts, not just the first on each line.
+fn known_flag(name: &str) -> bool {
+    name == "help"
+        || usage()
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .any(|word| word.strip_prefix("--") == Some(name))
+}
+
 fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
     match flags.get(name) {
         None => Ok(default),
@@ -582,6 +592,10 @@ fn run_once(wire: &WirePlan, flags: &HashMap<String, String>) -> Result<u8, Stri
 
 fn run(args: &[String]) -> Result<u8, String> {
     let flags = parse_flags(args)?;
+    // A misspelled flag must not silently fall back to its default.
+    if let Some(name) = flags.keys().filter(|name| !known_flag(name)).min() {
+        return Err(format!("unknown flag `--{name}`"));
+    }
     if flags.contains_key("help") {
         println!("{}", usage());
         return Ok(0);

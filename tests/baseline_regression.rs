@@ -4,11 +4,11 @@
 //! and a clean later run must show no comparable deviation.
 
 use sentomist::apps::oscilloscope::{self, OscilloscopeParams};
-use sentomist::core::{baseline::BaselineModel, harvest, Sample, SampleIndex};
+use sentomist::core::{baseline::BaselineModel, harvest_set, SampleIndex, SampleSet};
 use sentomist::tinyvm::{devices::NodeConfig, isa::irq, node::Node, LifecycleItem};
 use sentomist::trace::{Recorder, Trace};
 
-fn run(seed: u64) -> (Trace, Vec<Sample>) {
+fn run(seed: u64) -> (Trace, SampleSet) {
     let params = OscilloscopeParams::with_period_ms(60);
     let program = oscilloscope::buggy(&params).unwrap();
     let mut node = Node::new(
@@ -21,16 +21,17 @@ fn run(seed: u64) -> (Trace, Vec<Sample>) {
     let mut rec = Recorder::new(program.len());
     node.run(10_000_000, &mut rec).unwrap();
     let trace = rec.into_trace();
-    let samples = harvest(&trace, irq::ADC, |s, _| SampleIndex::Seq(s)).unwrap();
+    let samples = harvest_set(&trace, irq::ADC, |s, _| SampleIndex::Seq(s)).unwrap();
     (trace, samples)
 }
 
-fn symptom_positions(trace: &Trace, samples: &[Sample]) -> Vec<usize> {
+fn symptom_positions(trace: &Trace, samples: &SampleSet) -> Vec<usize> {
     samples
+        .meta
         .iter()
         .enumerate()
-        .filter(|(_, s)| {
-            (s.interval.start_index + 1..s.interval.end_index)
+        .filter(|(_, m)| {
+            (m.interval.start_index + 1..m.interval.end_index)
                 .any(|i| trace.events[i].item == LifecycleItem::Int(irq::ADC))
         })
         .map(|(i, _)| i)
@@ -45,14 +46,14 @@ fn frozen_baseline_screens_a_later_triggered_run() {
     // pooling a few reference seeds is what covers benign cross-run
     // variation, exactly as one would collect several known-good nightly
     // runs in practice.
-    let mut clean: Vec<Sample> = Vec::new();
+    let mut clean = SampleSet::empty();
     let mut clean_runs = 0;
     let mut triggered = None;
     for seed in 1000..1040u64 {
         let (trace, samples) = run(seed);
         let symptoms = symptom_positions(&trace, &samples);
         if symptoms.is_empty() && clean_runs < 4 {
-            clean.extend(samples);
+            clean.append(&samples);
             clean_runs += 1;
         } else if !symptoms.is_empty() && triggered.is_none() {
             triggered = Some((samples, symptoms));

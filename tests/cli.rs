@@ -3,6 +3,7 @@
 
 mod support;
 
+use sentomist::apps::DetectorKind;
 use support::{cli, run_ok, workdir};
 
 const APP: &str = "\
@@ -131,6 +132,30 @@ fn assemble_run_mine_localize_workflow() {
     let loc = String::from_utf8_lossy(&out.stdout);
     assert!(loc.contains("deviating instructions"));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_detector_kind_is_accepted_by_mine() {
+    let dir = workdir("cli-every-detector");
+    let app = dir.join("app.s");
+    let trace = dir.join("app.trace.json");
+    std::fs::write(&app, APP).unwrap();
+    run_ok(
+        cli()
+            .args(["run"])
+            .arg(&app)
+            .args(["--cycles", "2000000", "--trace"])
+            .arg(&trace),
+    );
+    for name in DetectorKind::all(0.05).map(DetectorKind::name) {
+        let mine = ["--irq", "2", "--detector", name];
+        let (stdout, _) = run_ok(cli().arg("mine").arg(&trace).args(mine));
+        assert!(
+            stdout.contains(&format!("ranking with {name}:")),
+            "{stdout}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

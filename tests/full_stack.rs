@@ -4,7 +4,7 @@
 //! layers.
 
 use sentomist::apps::{run_case2, Case2Config};
-use sentomist::core::{harvest, Pipeline, SampleIndex};
+use sentomist::core::{harvest_set, Pipeline, SampleIndex};
 use sentomist::netsim::{LinkConfig, NetSim, Topology};
 use sentomist::tinyvm::{self, devices::NodeConfig, isa::irq, node::Node};
 use sentomist::trace::{extract, CounterTable, Recorder};
@@ -96,9 +96,9 @@ fn pipeline_over_network_trace_is_clean_for_healthy_app() {
     let mut rec = Recorder::new(program.len());
     node.run(5_000_000, &mut rec).unwrap();
     let trace = rec.into_trace();
-    let samples = harvest(&trace, irq::TIMER0, |s, _| SampleIndex::Seq(s)).unwrap();
+    let samples = harvest_set(&trace, irq::TIMER0, |s, _| SampleIndex::Seq(s)).unwrap();
     assert!(samples.len() > 100);
-    let report = Pipeline::default_ocsvm(0.05).rank(samples).unwrap();
+    let report = Pipeline::default_ocsvm(0.05).rank_set(samples).unwrap();
     // A healthy, metronomic app: the score spread must be tiny compared to
     // a real symptom (no huge negative outliers).
     let min = report

@@ -1,9 +1,9 @@
 //! The bug-localization extension, end to end: after Sentomist flags an
-//! interval, `localize` must point at the instructions of the buggy code
+//! interval, `localize_set` must point at the instructions of the buggy code
 //! path — drop branch for case II, failure branch for case III.
 
 use sentomist::apps::forwarder;
-use sentomist::core::{harvest, localize, Pipeline, SampleIndex};
+use sentomist::core::{harvest_set, localize_set, Pipeline, SampleIndex};
 use sentomist::netsim::{LinkConfig, NetSim, Topology};
 use sentomist::tinyvm::isa::irq;
 use sentomist::trace::Recorder;
@@ -35,12 +35,14 @@ fn localization_implicates_the_drop_branch() {
     ];
     sim.run(20_000_000, &mut recorders).unwrap();
     let trace = recorders.swap_remove(1).into_trace();
-    let samples = harvest(&trace, irq::RX, |s, _| SampleIndex::Seq(s)).unwrap();
-    let report = Pipeline::default_ocsvm(0.05).rank(samples.clone()).unwrap();
+    let samples = harvest_set(&trace, irq::RX, |s, _| SampleIndex::Seq(s)).unwrap();
+    let report = Pipeline::default_ocsvm(0.05)
+        .rank_set(samples.clone())
+        .unwrap();
 
     let top = report.ranking[0].index;
-    let flagged = samples.iter().position(|s| s.index == top).unwrap();
-    let hits = localize(&samples, flagged, &relay, 1.0);
+    let flagged = samples.meta.iter().position(|m| m.index == top).unwrap();
+    let hits = localize_set(&samples, flagged, &relay, 1.0);
     assert!(!hits.is_empty(), "no implicated instructions");
 
     // The drop-branch instructions must appear among the implicated ones,

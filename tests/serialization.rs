@@ -2,7 +2,7 @@
 //! extraction results and reports all survive JSON (the CLI's artifact
 //! format), preserving analysis results exactly.
 
-use sentomist::core::{harvest, Pipeline, SampleIndex};
+use sentomist::core::{harvest_set, Pipeline, SampleIndex};
 use sentomist::tinyvm::{self, devices::NodeConfig, node::Node};
 use sentomist::trace::{extract, Recorder, Trace};
 use std::sync::Arc;
@@ -61,8 +61,9 @@ fn trace_round_trips_and_analyzes_identically() {
 #[test]
 fn report_round_trips_with_exact_scores() {
     let (_, trace) = record();
-    let samples = harvest(&trace, tinyvm::isa::irq::TIMER0, |s, _| SampleIndex::Seq(s)).unwrap();
-    let report = Pipeline::default_ocsvm(0.2).rank(samples).unwrap();
+    let samples =
+        harvest_set(&trace, tinyvm::isa::irq::TIMER0, |s, _| SampleIndex::Seq(s)).unwrap();
+    let report = Pipeline::default_ocsvm(0.2).rank_set(samples).unwrap();
     let json = serde_json::to_string(&report).unwrap();
     let back: sentomist::core::Report = serde_json::from_str(&json).unwrap();
     assert_eq!(back, report);

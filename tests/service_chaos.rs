@@ -506,6 +506,20 @@ fn loadgen_exit_codes_are_documented_contracts() {
     assert_eq!(out.status.code(), Some(2), "refused: {out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("failure class: connect"));
 
+    // 1 too: a misspelled flag is a usage error, rejected before dialing
+    // (the default connect deadline would otherwise apply silently).
+    let out = loadgen(&[
+        "--addr",
+        &refused_addr,
+        "--once",
+        "--job",
+        "ping",
+        "--conect-timeout-ms",
+        "500",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "misspelled flag: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--conect-timeout-ms`"));
+
     // 4: a wire/protocol failure — a server speaking garbage.
     let garbage_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let garbage_addr = garbage_listener.local_addr().expect("addr").to_string();
