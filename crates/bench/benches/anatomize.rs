@@ -1,4 +1,4 @@
-//! Anatomizer throughput: cost of the Figure-4 interval extraction and of
+//! Anatomizer throughput: cost of the interval extraction and of
 //! instruction-counter featurization as the trace grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -35,17 +35,21 @@ fn bench_counters(c: &mut Criterion) {
     let extraction = extract(&trace).unwrap();
     let mut group = c.benchmark_group("anatomize_counters");
     group.bench_function("build_prefix_table", |b| {
-        b.iter(|| CounterTable::new(&trace).dimension())
+        b.iter(|| CounterTable::try_new(&trace).unwrap().dimension())
     });
-    let table = CounterTable::new(&trace);
+    let table = CounterTable::try_new(&trace).unwrap();
+    let mut row = vec![0.0; table.dimension()];
     group.throughput(Throughput::Elements(extraction.intervals.len() as u64));
     group.bench_function("featurize_all_intervals", |b| {
         b.iter(|| {
             extraction
                 .intervals
                 .iter()
-                .map(|iv| table.counter(iv)[0])
-                .sum::<u64>()
+                .map(|iv| {
+                    table.try_features_into(iv, &mut row).unwrap();
+                    row[0]
+                })
+                .sum::<f64>()
         })
     });
     group.finish();

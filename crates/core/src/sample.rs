@@ -102,7 +102,7 @@ impl SampleSet {
 
 /// Harvests one event type's samples as a [`SampleSet`]: intervals are
 /// featurized by writing counter rows directly into the set's dense
-/// matrix ([`CounterTable::features_into`]), with zero intermediate
+/// matrix ([`CounterTable::try_features_into`]), with zero intermediate
 /// allocation per interval.
 ///
 /// # Errors

@@ -10,7 +10,7 @@
 //! envelope a campaign seed gets: panic isolation, watchdog timeout,
 //! deterministic retry — so a poisoned job answers with a typed error
 //! instead of taking the daemon down. Mine jobs consult the
-//! fingerprint-validated [`ResultCache`](crate::cache::ResultCache)
+//! fingerprint-validated [`ResultCache`]
 //! before touching the store.
 //!
 //! The wire-fault hardening (PR 10) lives at the connection layer:

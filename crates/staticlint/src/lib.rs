@@ -2,7 +2,7 @@
 //!
 //! Sentomist's dynamic side mines emulation traces for symptom outliers;
 //! this crate is the static counterpart. It decodes an assembled
-//! [`tinyvm::Program`] into basic blocks ([`cfg`]), enumerates the
+//! [`tinyvm::Program`] into basic blocks ([`cfg`](mod@cfg)), enumerates the
 //! program's execution contexts and what each can reach ([`context`]),
 //! abstractly interprets every block's data-memory accesses
 //! ([`access`]), and runs a set of interleaving rules ([`rules`]) that

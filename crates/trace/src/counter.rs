@@ -17,13 +17,12 @@ use crate::recorder::Trace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A structural defect in a trace or counter query, reported instead of
-/// a panic by the `try_*` constructors and queries.
+/// A structural defect in a trace or a counter query.
 ///
 /// Traces produced by [`crate::Recorder::into_trace`] always satisfy the
 /// invariants, but traces deserialized from disk (the trace store) or
-/// assembled by hand may not; the fallible APIs let callers surface
-/// those as errors rather than aborting mid-mine.
+/// assembled by hand may not; every query reports a defect as this error
+/// rather than aborting mid-mine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CounterError {
     /// The trace does not have exactly `events + 1` count segments.
@@ -118,38 +117,12 @@ pub struct CounterTable {
 }
 
 impl CounterTable {
-    /// Builds the table from a recorded trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace violates the `segments = events + 1` invariant
-    /// or a segment width differs from the program length (impossible for
-    /// traces produced by [`crate::Recorder::into_trace`]). Use
-    /// [`CounterTable::try_new`] to get a typed error instead.
-    pub fn new(trace: &Trace) -> CounterTable {
-        CounterTable::try_new(trace).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`CounterTable::new`]: validates the trace's structural
-    /// invariants (`segments = events + 1`, every segment as wide as the
-    /// program) before building.
+    /// Builds the table from a recorded trace, after checking its
+    /// structural invariants (`segments = events + 1`, every segment as
+    /// wide as the program).
     pub fn try_new(trace: &Trace) -> Result<CounterTable, CounterError> {
-        if trace.segments.len() != trace.events.len() + 1 {
-            return Err(CounterError::SegmentCount {
-                events: trace.events.len(),
-                segments: trace.segments.len(),
-            });
-        }
+        check_segments(trace)?;
         let n = trace.program_len;
-        for (index, seg) in trace.segments.iter().enumerate() {
-            if seg.len() != n {
-                return Err(CounterError::SegmentWidth {
-                    index,
-                    expected: n,
-                    got: seg.len(),
-                });
-            }
-        }
         let mut prefix = vec![0u64; trace.segments.len() * n];
         for (m, seg) in trace.segments.iter().enumerate() {
             let (done, rest) = prefix.split_at_mut(m * n);
@@ -178,8 +151,24 @@ impl CounterTable {
         &self.prefix[m * self.program_len..(m + 1) * self.program_len]
     }
 
-    /// Validates an interval query against the table.
-    fn check_query(&self, start: usize, end: usize, width: usize) -> Result<(), CounterError> {
+    /// Writes the instruction counter of `interval` — the counts executed
+    /// after its opening event up to and including its closing event — as
+    /// `f64` features (what the outlier detectors consume) straight into
+    /// a caller-provided row slice (e.g. a dense feature-matrix row), with
+    /// no intermediate allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`CounterError::IntervalReversed`] or
+    /// [`CounterError::EventOutOfRange`] for an interval outside the
+    /// trace, and [`CounterError::WidthMismatch`] if
+    /// `row.len() != dimension()`.
+    pub fn try_features_into(
+        &self,
+        interval: &EventInterval,
+        row: &mut [f64],
+    ) -> Result<(), CounterError> {
+        let (start, end) = (interval.start_index, interval.end_index);
         if start > end {
             return Err(CounterError::IntervalReversed { start, end });
         }
@@ -189,117 +178,12 @@ impl CounterTable {
                 rows: self.rows,
             });
         }
-        if width != self.program_len {
+        if row.len() != self.program_len {
             return Err(CounterError::WidthMismatch {
                 expected: self.program_len,
-                got: width,
+                got: row.len(),
             });
         }
-        Ok(())
-    }
-
-    /// The instruction counter of `interval`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval's indices lie outside the trace; see
-    /// [`CounterTable::try_counter`].
-    pub fn counter(&self, interval: &EventInterval) -> Vec<u64> {
-        self.counter_between(interval.start_index, interval.end_index)
-    }
-
-    /// Fallible [`CounterTable::counter`].
-    pub fn try_counter(&self, interval: &EventInterval) -> Result<Vec<u64>, CounterError> {
-        self.try_counter_between(interval.start_index, interval.end_index)
-    }
-
-    /// Counts of instructions executed between events `start` and `end`
-    /// (exclusive of instructions before `start`'s event, inclusive of the
-    /// segment ending at `end`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start` or `end` is out of range; see
-    /// [`CounterTable::try_counter_between`].
-    pub fn counter_between(&self, start: usize, end: usize) -> Vec<u64> {
-        self.try_counter_between(start, end)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`CounterTable::counter_between`].
-    pub fn try_counter_between(&self, start: usize, end: usize) -> Result<Vec<u64>, CounterError> {
-        let mut out = vec![0u64; self.program_len];
-        self.try_counter_into(start, end, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes the counter of events `start ..= end` into `out` — the
-    /// allocation-free O(program_len) interval query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`, `end` is out of range, or
-    /// `out.len() != dimension()`; see [`CounterTable::try_counter_into`].
-    pub fn counter_into(&self, start: usize, end: usize, out: &mut [u64]) {
-        self.try_counter_into(start, end, out)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`CounterTable::counter_into`].
-    pub fn try_counter_into(
-        &self,
-        start: usize,
-        end: usize,
-        out: &mut [u64],
-    ) -> Result<(), CounterError> {
-        self.check_query(start, end, out.len())?;
-        let hi = self.prefix_row(end);
-        let lo = self.prefix_row(start);
-        for ((o, &h), &l) in out.iter_mut().zip(hi).zip(lo) {
-            *o = h - l;
-        }
-        Ok(())
-    }
-
-    /// The counter as `f64` features (what the outlier detectors consume).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval's indices lie outside the trace; see
-    /// [`CounterTable::try_features`].
-    pub fn features(&self, interval: &EventInterval) -> Vec<f64> {
-        self.try_features(interval)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`CounterTable::features`].
-    pub fn try_features(&self, interval: &EventInterval) -> Result<Vec<f64>, CounterError> {
-        let mut out = vec![0.0f64; self.program_len];
-        self.try_features_into(interval, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes the interval's features straight into a caller-provided row
-    /// slice (e.g. a dense feature-matrix row), with no intermediate
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval's indices lie outside the trace or
-    /// `row.len() != dimension()`; see [`CounterTable::try_features_into`].
-    pub fn features_into(&self, interval: &EventInterval, row: &mut [f64]) {
-        self.try_features_into(interval, row)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`CounterTable::features_into`].
-    pub fn try_features_into(
-        &self,
-        interval: &EventInterval,
-        row: &mut [f64],
-    ) -> Result<(), CounterError> {
-        let (start, end) = (interval.start_index, interval.end_index);
-        self.check_query(start, end, row.len())?;
         let hi = self.prefix_row(end);
         let lo = self.prefix_row(start);
         for ((o, &h), &l) in row.iter_mut().zip(hi).zip(lo) {
@@ -307,6 +191,28 @@ impl CounterTable {
         }
         Ok(())
     }
+}
+
+/// Checks a trace's structural invariants: `events + 1` count segments,
+/// each as wide as the program.
+pub(crate) fn check_segments(trace: &Trace) -> Result<(), CounterError> {
+    if trace.segments.len() != trace.events.len() + 1 {
+        return Err(CounterError::SegmentCount {
+            events: trace.events.len(),
+            segments: trace.segments.len(),
+        });
+    }
+    let n = trace.program_len;
+    for (index, seg) in trace.segments.iter().enumerate() {
+        if seg.len() != n {
+            return Err(CounterError::SegmentWidth {
+                index,
+                expected: n,
+                got: seg.len(),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -335,6 +241,26 @@ mod tests {
         }
     }
 
+    /// An interval spanning events `start ..= end`.
+    fn span(start_index: usize, end_index: usize) -> EventInterval {
+        EventInterval {
+            irq: 0,
+            start_index,
+            end_index,
+            last_run_index: None,
+            start_cycle: 0,
+            end_cycle: 0,
+            task_count: 0,
+        }
+    }
+
+    /// The counter of events `start ..= end` as a fresh row.
+    fn counter(tab: &CounterTable, start: usize, end: usize) -> Vec<f64> {
+        let mut row = vec![0.0; tab.dimension()];
+        tab.try_features_into(&span(start, end), &mut row).unwrap();
+        row
+    }
+
     #[test]
     fn interval_counts_sum_inner_segments() {
         // Events 0..=3; segments s0..s4.
@@ -345,30 +271,13 @@ mod tests {
             vec![0, 4],
             vec![5, 5],
         ]);
-        let tab = CounterTable::new(&t);
+        let tab = CounterTable::try_new(&t).unwrap();
         // Interval spanning events 0..=3 sums segments 1..=3.
-        assert_eq!(tab.counter_between(0, 3), vec![3, 6]);
+        assert_eq!(counter(&tab, 0, 3), vec![3.0, 6.0]);
         // Single-event interval (start == end) is empty.
-        assert_eq!(tab.counter_between(2, 2), vec![0, 0]);
+        assert_eq!(counter(&tab, 2, 2), vec![0.0, 0.0]);
         // Adjacent events: just the one segment between them.
-        assert_eq!(tab.counter_between(1, 2), vec![3, 0]);
-    }
-
-    #[test]
-    fn counter_uses_interval_indices() {
-        let t = mk_trace(vec![vec![0], vec![7], vec![0]]);
-        let tab = CounterTable::new(&t);
-        let iv = EventInterval {
-            irq: 0,
-            start_index: 0,
-            end_index: 1,
-            last_run_index: None,
-            start_cycle: 0,
-            end_cycle: 1,
-            task_count: 0,
-        };
-        assert_eq!(tab.counter(&iv), vec![7]);
-        assert_eq!(tab.features(&iv), vec![7.0]);
+        assert_eq!(counter(&tab, 1, 2), vec![3.0, 0.0]);
     }
 
     #[test]
@@ -418,68 +327,18 @@ mod tests {
             ],
             program_len: 1,
         };
-        let tab = CounterTable::new(&t);
+        let tab = CounterTable::try_new(&t).unwrap();
         // Outer instance: events 0..=6.
-        assert_eq!(tab.counter_between(0, 6), vec![15]);
+        assert_eq!(counter(&tab, 0, 6), vec![15.0]);
         // Nested instance: events 3..=4; its 9 instructions are also part
         // of the outer interval's counter.
-        assert_eq!(tab.counter_between(3, 4), vec![9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "interval reversed")]
-    fn reversed_interval_panics() {
-        let t = mk_trace(vec![vec![0], vec![0], vec![0]]);
-        CounterTable::new(&t).counter_between(1, 0);
+        assert_eq!(counter(&tab, 3, 4), vec![9.0]);
     }
 
     #[test]
     fn dimension_matches_program() {
         let t = mk_trace(vec![vec![0, 0, 0], vec![1, 2, 3]]);
-        assert_eq!(CounterTable::new(&t).dimension(), 3);
-    }
-
-    #[test]
-    fn counter_into_matches_allocating_query() {
-        let t = mk_trace(vec![
-            vec![1, 0],
-            vec![0, 2],
-            vec![3, 0],
-            vec![0, 4],
-            vec![5, 5],
-        ]);
-        let tab = CounterTable::new(&t);
-        let mut row = vec![0u64; 2];
-        tab.counter_into(0, 3, &mut row);
-        assert_eq!(row, tab.counter_between(0, 3));
-        assert_eq!(row, vec![3, 6]);
-    }
-
-    #[test]
-    fn features_into_writes_caller_row() {
-        let t = mk_trace(vec![vec![0], vec![7], vec![0]]);
-        let tab = CounterTable::new(&t);
-        let iv = EventInterval {
-            irq: 0,
-            start_index: 0,
-            end_index: 1,
-            last_run_index: None,
-            start_cycle: 0,
-            end_cycle: 1,
-            task_count: 0,
-        };
-        let mut row = [0.0f64; 1];
-        tab.features_into(&iv, &mut row);
-        assert_eq!(row, [7.0]);
-        assert_eq!(tab.features(&iv), vec![7.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn wrong_width_row_panics() {
-        let t = mk_trace(vec![vec![0, 0], vec![1, 1]]);
-        let mut row = vec![0u64; 3];
-        CounterTable::new(&t).counter_into(0, 1, &mut row);
+        assert_eq!(CounterTable::try_new(&t).unwrap().dimension(), 3);
     }
 
     #[test]
@@ -511,35 +370,24 @@ mod tests {
     fn try_queries_return_typed_errors() {
         let t = mk_trace(vec![vec![0], vec![7], vec![0]]);
         let tab = CounterTable::try_new(&t).unwrap();
+        let mut row = [0.0];
         assert_eq!(
-            tab.try_counter_between(2, 1),
+            tab.try_features_into(&span(2, 1), &mut row),
             Err(CounterError::IntervalReversed { start: 2, end: 1 })
         );
         assert_eq!(
-            tab.try_counter_between(0, 9),
+            tab.try_features_into(&span(0, 9), &mut row),
             Err(CounterError::EventOutOfRange { index: 9, rows: 3 })
         );
-        let mut row = vec![0u64; 2];
         assert_eq!(
-            tab.try_counter_into(0, 1, &mut row),
+            tab.try_features_into(&span(0, 1), &mut [0.0; 2]),
             Err(CounterError::WidthMismatch {
                 expected: 1,
                 got: 2
             })
         );
-        assert_eq!(tab.try_counter_between(0, 1), Ok(vec![7]));
-        assert_eq!(
-            tab.try_features(&EventInterval {
-                irq: 0,
-                start_index: 0,
-                end_index: 1,
-                last_run_index: None,
-                start_cycle: 0,
-                end_cycle: 1,
-                task_count: 0,
-            }),
-            Ok(vec![7.0])
-        );
+        assert_eq!(tab.try_features_into(&span(0, 1), &mut row), Ok(()));
+        assert_eq!(row, [7.0]);
         // Errors render with the historical panic-message prefixes.
         assert!(CounterError::IntervalReversed { start: 2, end: 1 }
             .to_string()
@@ -550,17 +398,5 @@ mod tests {
         }
         .to_string()
         .contains("malformed trace"));
-    }
-
-    impl CounterTable {
-        fn eq_for_tests(&self, other: &CounterTable) -> bool {
-            self.prefix == other.prefix && self.program_len == other.program_len
-        }
-    }
-
-    #[test]
-    fn new_and_try_new_agree() {
-        let t = mk_trace(vec![vec![1, 0], vec![0, 2], vec![3, 0]]);
-        assert!(CounterTable::new(&t).eq_for_tests(&CounterTable::try_new(&t).unwrap()));
     }
 }

@@ -1,5 +1,5 @@
-//! Event-handling-interval extraction — the algorithm of the paper's
-//! Figure 4, built on Criteria 1–3.
+//! Event-handling-interval extraction: Criteria 1–3 of the paper's
+//! Section V-B, applied in one pass over the lifecycle sequence.
 //!
 //! * **Criterion 1**: the task posted via the *i*-th `postTask` is executed
 //!   via the *i*-th `runTask` (the OS queue is FIFO).
@@ -8,19 +8,37 @@
 //! * **Criterion 3**: all depth-0 `postTask`s between two consecutive
 //!   `runTask`s are posted by the task started at the first `runTask`.
 //!
-//! The extraction is a breadth-first search over the tasks each instance
-//! transitively posts; it consumes only the lifecycle sequence — never the
-//! VM's ground-truth ownership — exactly as Sentomist must when observing
-//! a real system. `TaskEnd` items (a tracing extension absent from the
-//! paper's 4-item alphabet) are used solely to close the wall-clock span of
-//! an interval after the paper's algorithm has located its final `runTask`.
+//! [`OnlineExtractor`] tracks every event-procedure instance as its items
+//! arrive, and [`extract()`] feeds a whole trace through it. The tracker's
+//! stack of open handlers is the pushdown automaton of the *int-reti
+//! string* grammar (paper Definition 3),
+//!
+//! ```text
+//! S -> int(n) R reti
+//! R -> P | P S R
+//! P -> postTask P | ε
+//! ```
+//!
+//! so only `postTask` items and nested int-reti strings may appear between
+//! an `int(n)` and its `reti` (Rule 2: tasks never run inside a handler).
+//! Its queue of posts, each tagged with the instance that owns it, applies
+//! Criteria 1–3 as the items arrive. It consumes only the lifecycle
+//! sequence — never the VM's ground-truth ownership — exactly as Sentomist
+//! must when observing a real system.
+//!
+//! The paper's Figure 4 finds the same intervals with a breadth-first
+//! search over the tasks each instance transitively posts. That search is
+//! the test reference for [`extract()`]; DESIGN.md argues why the two agree
+//! on every sequence the concurrency model can produce. `TaskEnd` items (a
+//! tracing extension absent from the paper's 4-item alphabet) only close
+//! the wall-clock span of an instance whose last task has started.
 
-use crate::grammar::{self, GrammarError};
 use crate::recorder::Trace;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use tinyvm::LifecycleItem;
+use tinyvm::{LifecycleItem, TaskId};
 
 /// One extracted event-handling interval (paper Definition 2): the lifetime
 /// of an event-procedure instance.
@@ -66,18 +84,41 @@ impl Extraction {
     }
 }
 
+/// A lifecycle item the int-reti grammar rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum GrammarError {
+    /// A `runTask`/`taskEnd` item appeared inside a handler region, which
+    /// the concurrency model forbids.
+    TaskInsideHandler {
+        /// Index of the offending item.
+        index: usize,
+    },
+}
+
+impl fmt::Display for GrammarError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GrammarError::TaskInsideHandler { index } => {
+                write!(f, "task item inside a handler region at {index}")
+            }
+        }
+    }
+}
+
+impl Error for GrammarError {}
+
 /// An ill-formed lifecycle sequence (impossible under the concurrency
 /// model; indicates a corrupted trace or a non-FIFO scheduler).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExtractError {
-    /// The int-reti recognizer rejected the sequence.
+    /// The int-reti grammar rejected the sequence.
     Grammar(GrammarError),
-    /// Criterion 1 violated: ordinal-matched post and run carried
-    /// different task ids.
+    /// Criterion 1 violated: a `runTask` did not start the oldest queued
+    /// task.
     FifoViolation {
-        /// Index of the `postTask` event.
+        /// Index of the oldest queued `postTask` event.
         post_index: usize,
-        /// Index of the ordinal-matched `runTask` event.
+        /// Index of the `runTask` event.
         run_index: usize,
     },
     /// The trace's count segments are structurally broken (wrong segment
@@ -117,158 +158,175 @@ impl From<crate::counter::CounterError> for ExtractError {
     }
 }
 
-impl From<GrammarError> for ExtractError {
-    fn from(g: GrammarError) -> Self {
-        ExtractError::Grammar(g)
-    }
+/// Bookkeeping of one event-procedure instance.
+#[derive(Debug, Clone)]
+struct Instance {
+    irq: u8,
+    start_index: usize,
+    start_cycle: u64,
+    handler_open: bool,
+    /// Posts of this instance that no `runTask` has started yet.
+    queued: u32,
+    task_count: u32,
+    last_run_index: Option<usize>,
 }
 
-/// Precomputed Criterion-1 matching: the ordinal pairing of `postTask` and
-/// `runTask` events.
+/// Streaming interval tracker: feed each lifecycle item as it occurs, and
+/// every interval is returned by the item that completes it.
+///
+/// Memory holds one small record per instance seen, the handler stack
+/// and the queued posts — never the lifecycle sequence itself.
+///
+/// # Examples
+///
+/// ```
+/// use sentomist_trace::OnlineExtractor;
+/// use tinyvm::{LifecycleItem as L, TaskId};
+///
+/// # fn main() -> Result<(), sentomist_trace::ExtractError> {
+/// let mut ex = OnlineExtractor::new();
+/// let items = [
+///     L::Int(2),
+///     L::PostTask(TaskId(0)),
+///     L::Reti,
+///     L::RunTask(TaskId(0)),
+///     L::TaskEnd(TaskId(0)),
+/// ];
+/// let mut done = Vec::new();
+/// for (i, item) in items.into_iter().enumerate() {
+///     done.extend(ex.feed(i, i as u64, item)?);
+/// }
+/// assert_eq!(done.len(), 1);
+/// assert_eq!(done[0].end_index, 4);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Default)]
-pub struct TaskMatching {
-    /// For each `postTask` event index, the matching `runTask` index (or
-    /// `None` if the run lies beyond the end of the trace).
-    run_of_post: std::collections::HashMap<usize, Option<usize>>,
+pub struct OnlineExtractor {
+    /// Every instance opened so far; indices are stable instance ids.
+    instances: Vec<Instance>,
+    /// Ids of the open handlers, innermost last.
+    handlers: Vec<usize>,
+    /// Posted tasks not yet run, oldest first: `(post index, task, owner)`.
+    /// The owner is `None` for boot posts and posts of ownerless tasks.
+    queue: VecDeque<(usize, TaskId, Option<usize>)>,
+    /// Owner of the running task, until its `TaskEnd`.
+    running: Option<usize>,
+    /// Instances opened but not yet closed.
+    open: usize,
 }
 
-impl TaskMatching {
-    /// Builds the matching from a lifecycle item sequence.
+impl OnlineExtractor {
+    /// Creates an empty tracker.
+    pub fn new() -> OnlineExtractor {
+        OnlineExtractor::default()
+    }
+
+    /// Number of instances currently open (bounded by handler nesting plus
+    /// instances awaiting task completion — not by trace length).
+    pub fn open_instances(&self) -> usize {
+        self.open
+    }
+
+    /// Feeds the lifecycle item at stream position `index`, occurring at
+    /// `cycle`; returns the interval it completes, if any (an item
+    /// completes at most one).
+    ///
+    /// An instance's task counts as done when it *starts*: the instance
+    /// closes at its handler's `reti` if it posted nothing, else at the
+    /// `TaskEnd` of its last started task. A `reti` with no open handler
+    /// is ignored.
     ///
     /// # Errors
     ///
-    /// Returns [`ExtractError::FifoViolation`] if an ordinal pair disagrees
-    /// on the task id.
-    pub fn build(items: &[LifecycleItem]) -> Result<TaskMatching, ExtractError> {
-        let mut posts = Vec::new();
-        let mut runs = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            match item {
-                LifecycleItem::PostTask(t) => posts.push((i, *t)),
-                LifecycleItem::RunTask(t) => runs.push((i, *t)),
-                _ => {}
+    /// * [`GrammarError::TaskInsideHandler`] for a `runTask` or `TaskEnd`
+    ///   while a handler is open;
+    /// * [`ExtractError::FifoViolation`] for a `runTask` whose task is not
+    ///   the oldest queued one.
+    pub fn feed(
+        &mut self,
+        index: usize,
+        cycle: u64,
+        item: LifecycleItem,
+    ) -> Result<Option<EventInterval>, ExtractError> {
+        match item {
+            LifecycleItem::Int(irq) => {
+                self.handlers.push(self.instances.len());
+                self.instances.push(Instance {
+                    irq,
+                    start_index: index,
+                    start_cycle: cycle,
+                    handler_open: true,
+                    queued: 0,
+                    task_count: 0,
+                    last_run_index: None,
+                });
+                self.open += 1;
             }
-        }
-        let mut run_of_post = std::collections::HashMap::with_capacity(posts.len());
-        for (ordinal, &(post_index, post_task)) in posts.iter().enumerate() {
-            match runs.get(ordinal) {
-                Some(&(run_index, run_task)) => {
-                    if post_task != run_task {
+            LifecycleItem::PostTask(task) => {
+                // Criterion 2, else Criterion 3.
+                let owner = self.handlers.last().copied().or(self.running);
+                if let Some(id) = owner {
+                    self.instances[id].queued += 1;
+                    self.instances[id].task_count += 1;
+                }
+                self.queue.push_back((index, task, owner));
+            }
+            LifecycleItem::Reti => {
+                if let Some(id) = self.handlers.pop() {
+                    self.instances[id].handler_open = false;
+                    return Ok(self.close_if_done(id, index, cycle));
+                }
+            }
+            LifecycleItem::RunTask(_) | LifecycleItem::TaskEnd(_) if !self.handlers.is_empty() => {
+                return Err(ExtractError::Grammar(GrammarError::TaskInsideHandler {
+                    index,
+                }));
+            }
+            LifecycleItem::RunTask(task) => {
+                // Criterion 1; with nothing queued the task is ownerless.
+                self.running = match self.queue.pop_front() {
+                    Some((post_index, posted, _)) if posted != task => {
                         return Err(ExtractError::FifoViolation {
                             post_index,
-                            run_index,
+                            run_index: index,
                         });
                     }
-                    run_of_post.insert(post_index, Some(run_index));
+                    Some((_, _, owner)) => owner,
+                    None => None,
+                };
+                if let Some(id) = self.running {
+                    self.instances[id].queued -= 1;
+                    self.instances[id].last_run_index = Some(index);
                 }
-                None => {
-                    run_of_post.insert(post_index, None);
+            }
+            LifecycleItem::TaskEnd(_) => {
+                if let Some(id) = self.running.take() {
+                    return Ok(self.close_if_done(id, index, cycle));
                 }
             }
         }
-        Ok(TaskMatching { run_of_post })
+        Ok(None)
     }
 
-    /// The `runTask` index matching the `postTask` at `post_index`.
-    /// `None` means the run falls beyond the trace; absent entries mean
-    /// `post_index` is not a `postTask`.
-    pub fn run_of(&self, post_index: usize) -> Option<Option<usize>> {
-        self.run_of_post.get(&post_index).copied()
-    }
-}
-
-/// Collects depth-0 `postTask` indices between `run_index` and the next
-/// `runTask` (Criterion 3). Returns the posts and whether the scan reached
-/// a terminating boundary (`runTask` or, for the very last task, any index;
-/// the task-end index is returned separately when present).
-fn posts_of_run(items: &[LifecycleItem], run_index: usize) -> Vec<usize> {
-    let mut depth = 0usize;
-    let mut posts = Vec::new();
-    for (i, item) in items.iter().enumerate().skip(run_index + 1) {
-        match item {
-            LifecycleItem::Int(_) => depth += 1,
-            LifecycleItem::Reti => depth = depth.saturating_sub(1),
-            LifecycleItem::PostTask(_) if depth == 0 => posts.push(i),
-            LifecycleItem::RunTask(_) => break,
-            _ => {}
+    /// Closes instance `id` at the item `index` if its handler has
+    /// returned and every task it posted has started.
+    fn close_if_done(&mut self, id: usize, index: usize, cycle: u64) -> Option<EventInterval> {
+        let inst = &self.instances[id];
+        if inst.handler_open || inst.queued > 0 {
+            return None;
         }
+        self.open -= 1;
+        Some(EventInterval {
+            irq: inst.irq,
+            start_index: inst.start_index,
+            end_index: index,
+            last_run_index: inst.last_run_index,
+            start_cycle: inst.start_cycle,
+            end_cycle: cycle,
+            task_count: inst.task_count,
+        })
     }
-    posts
-}
-
-/// Finds the `TaskEnd` of the task started at `run_index`: the first
-/// depth-0 `TaskEnd` before the next `runTask`. `None` if the trace was
-/// truncated before the task finished.
-fn task_end_of_run(items: &[LifecycleItem], run_index: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, item) in items.iter().enumerate().skip(run_index + 1) {
-        match item {
-            LifecycleItem::Int(_) => depth += 1,
-            LifecycleItem::Reti => depth = depth.saturating_sub(1),
-            LifecycleItem::TaskEnd(_) if depth == 0 => return Some(i),
-            LifecycleItem::RunTask(_) => return None,
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Outcome of tracing one instance.
-enum InstanceOutcome {
-    Complete {
-        end_index: usize,
-        last_run_index: Option<usize>,
-        task_count: u32,
-    },
-    /// The instance's lifetime extends past the recorded trace.
-    Truncated,
-}
-
-/// Figure-4 BFS for the instance whose `Int` sits at `start`.
-fn trace_instance(
-    items: &[LifecycleItem],
-    matching: &TaskMatching,
-    start: usize,
-) -> Result<InstanceOutcome, ExtractError> {
-    // S <- the int-reti string; loc <- index of its last reti.
-    let reti_index = match grammar::matching_reti(items, start) {
-        Ok(i) => i,
-        Err(GrammarError::Unterminated { .. }) => return Ok(InstanceOutcome::Truncated),
-        Err(e) => return Err(e.into()),
-    };
-    // P <- postTask items of S minus nested int-reti substrings.
-    let mut pending = grammar::direct_posts(items, start)?;
-    let mut task_count = 0u32;
-    let mut last_run: Option<usize> = None;
-
-    // Breadth-first over transitively posted tasks.
-    while !pending.is_empty() {
-        let mut next = Vec::new();
-        for post_index in pending {
-            task_count += 1;
-            let run_index = match matching.run_of(post_index) {
-                Some(Some(r)) => r,
-                Some(None) => return Ok(InstanceOutcome::Truncated),
-                None => unreachable!("pending indices are postTask items"),
-            };
-            last_run = Some(run_index);
-            next.extend(posts_of_run(items, run_index));
-        }
-        pending = next;
-    }
-
-    let end_index = match last_run {
-        Some(run_index) => match task_end_of_run(items, run_index) {
-            Some(end) => end,
-            None => return Ok(InstanceOutcome::Truncated),
-        },
-        None => reti_index,
-    };
-    Ok(InstanceOutcome::Complete {
-        end_index,
-        last_run_index: last_run,
-        task_count,
-    })
 }
 
 /// Extracts every event-handling interval from `trace`.
@@ -280,7 +338,7 @@ fn trace_instance(
 /// # Errors
 ///
 /// Returns [`ExtractError`] only for ill-formed sequences that the
-/// concurrency model cannot produce.
+/// concurrency model cannot produce; see [`OnlineExtractor::feed`].
 ///
 /// # Examples
 ///
@@ -309,35 +367,15 @@ fn trace_instance(
 /// # }
 /// ```
 pub fn extract(trace: &Trace) -> Result<Extraction, ExtractError> {
-    let items: Vec<LifecycleItem> = trace.events.iter().map(|e| e.item).collect();
-    let matching = TaskMatching::build(&items)?;
+    let mut tracker = OnlineExtractor::new();
     let mut intervals = Vec::new();
-    let mut incomplete = 0usize;
-    for start in trace.int_indices() {
-        let irq = match items[start] {
-            LifecycleItem::Int(n) => n,
-            _ => unreachable!("int_indices yields Int items"),
-        };
-        match trace_instance(&items, &matching, start)? {
-            InstanceOutcome::Complete {
-                end_index,
-                last_run_index,
-                task_count,
-            } => intervals.push(EventInterval {
-                irq,
-                start_index: start,
-                end_index,
-                last_run_index,
-                start_cycle: trace.events[start].cycle,
-                end_cycle: trace.events[end_index].cycle,
-                task_count,
-            }),
-            InstanceOutcome::Truncated => incomplete += 1,
-        }
+    for (index, event) in trace.events.iter().enumerate() {
+        intervals.extend(tracker.feed(index, event.cycle, event.item)?);
     }
+    intervals.sort_unstable_by_key(|iv| iv.start_index);
     Ok(Extraction {
         intervals,
-        incomplete,
+        incomplete: tracker.open_instances(),
     })
 }
 
@@ -345,7 +383,6 @@ pub fn extract(trace: &Trace) -> Result<Extraction, ExtractError> {
 mod tests {
     use super::*;
     use crate::recorder::TraceEvent;
-    use tinyvm::TaskId;
 
     fn int(n: u8) -> LifecycleItem {
         LifecycleItem::Int(n)
@@ -549,6 +586,21 @@ mod tests {
     }
 
     #[test]
+    fn task_items_inside_a_handler_are_rejected() {
+        for (items, index) in [
+            (vec![post(0), int(0), run(0), reti()], 2),
+            (vec![post(0), run(0), int(1), end(0), reti()], 3),
+        ] {
+            assert_eq!(
+                extract(&trace_of(&items)),
+                Err(ExtractError::Grammar(GrammarError::TaskInsideHandler {
+                    index
+                }))
+            );
+        }
+    }
+
+    #[test]
     fn for_irq_filters_groups() {
         let items = [int(0), reti(), int(2), reti(), int(0), reti()];
         let t = trace_of(&items);
@@ -584,5 +636,47 @@ mod tests {
         let x = extract(&t).unwrap();
         assert!(x.intervals.is_empty());
         assert_eq!(x.incomplete, 0);
+    }
+
+    #[test]
+    fn emits_on_completion_not_at_end() {
+        let mut ex = OnlineExtractor::new();
+        assert_eq!(ex.feed(0, 0, int(0)), Ok(None));
+        let done = ex.feed(1, 10, reti()).unwrap().unwrap();
+        assert_eq!(done.start_index, 0);
+        assert_eq!(done.end_index, 1);
+        assert_eq!(ex.open_instances(), 0);
+    }
+
+    #[test]
+    fn open_instance_count_is_bounded_by_activity() {
+        // 3 nested handlers -> 3 open; closing unwinds.
+        let mut ex = OnlineExtractor::new();
+        for (i, item) in [int(0), int(1), int(2)].into_iter().enumerate() {
+            ex.feed(i, i as u64, item).unwrap();
+        }
+        assert_eq!(ex.open_instances(), 3);
+        for i in 3..6 {
+            ex.feed(i, i as u64, reti()).unwrap();
+        }
+        assert_eq!(ex.open_instances(), 0);
+    }
+
+    #[test]
+    fn truncated_instances_stay_open() {
+        let mut ex = OnlineExtractor::new();
+        ex.feed(0, 0, int(0)).unwrap();
+        ex.feed(1, 1, post(1)).unwrap();
+        assert_eq!(ex.feed(2, 2, reti()), Ok(None));
+        assert_eq!(ex.open_instances(), 1);
+    }
+
+    #[test]
+    fn boot_tasks_are_ownerless() {
+        let mut ex = OnlineExtractor::new();
+        assert_eq!(ex.feed(0, 0, post(5)), Ok(None));
+        assert_eq!(ex.feed(1, 1, run(5)), Ok(None));
+        assert_eq!(ex.feed(2, 2, end(5)), Ok(None));
+        assert_eq!(ex.open_instances(), 0);
     }
 }

@@ -8,16 +8,19 @@
 //!
 //! * [`Recorder`] captures a node's lifecycle stream and instruction-count
 //!   segments (the Avrora-monitor role);
-//! * [`grammar`] recognizes *int-reti strings* with a pushdown automaton
-//!   (paper Definition 3);
-//! * [`extract()`](extract::extract) runs the Figure-4 breadth-first algorithm over Criteria
-//!   1–3 to delimit each event-procedure instance;
+//! * [`OnlineExtractor`] anatomizes the sequence in one pass: a handler
+//!   stack recognizes *int-reti strings* (paper Definition 3) and a FIFO
+//!   of owned posts applies Criteria 1–3, so each interval is returned by
+//!   the item that completes it — from a live node or a stored trace;
+//! * [`extract()`](extract::extract) runs that tracker over a whole trace;
+//!   the paper's Figure-4 breadth-first search is kept in the crate's
+//!   tests as the reference it must equal;
 //! * [`CounterTable`] produces Definition-4 instruction counters per
 //!   interval in O(program length) per query;
-//! * [`OnlineExtractor`] tracks instances *incrementally* for
-//!   memory-bounded live monitoring, emitting intervals as they complete
-//!   (equivalent to the batch algorithm; cross-validated in tests).
+//! * [`Profile`] attributes a run's executions and cycles to routines.
 //!
+//! Every query on a trace read from outside the program is fallible:
+//! structural defects come back as [`CounterError`] or [`ExtractError`].
 //! The extraction consumes only the lifecycle sequence — the VM's
 //! ground-truth instance bookkeeping is used exclusively by tests that
 //! validate the inference.
@@ -27,14 +30,12 @@
 
 pub mod counter;
 pub mod extract;
-pub mod grammar;
-pub mod online;
 pub mod profile;
 pub mod recorder;
 
 pub use counter::{CounterError, CounterTable};
-pub use extract::{extract, EventInterval, ExtractError, Extraction, TaskMatching};
-pub use grammar::{matching_reti, GrammarError, PushdownRecognizer};
-pub use online::{extract_online, OnlineExtractor};
+pub use extract::{
+    extract, EventInterval, ExtractError, Extraction, GrammarError, OnlineExtractor,
+};
 pub use profile::{Profile, RoutineProfile};
 pub use recorder::{ProtocolViolation, Recorder, Trace, TraceEvent};

@@ -1,14 +1,12 @@
 //! Execution profiling from recorded traces — the role of Avrora's
-//! profiling monitors: attribute instruction executions (and their cycle
-//! costs) to routines, across the whole run or within one event-handling
-//! interval.
+//! profiling monitors: attribute a run's instruction executions (and
+//! their cycle costs) to routines.
 //!
 //! Because every instruction has a fixed cycle cost, exact per-instruction
 //! cycle totals follow directly from the Definition-4 counters; no extra
 //! instrumentation is needed.
 
-use crate::counter::{CounterError, CounterTable};
-use crate::extract::EventInterval;
+use crate::counter::{check_segments, CounterError};
 use crate::recorder::Trace;
 use serde::{Deserialize, Serialize};
 use tinyvm::Program;
@@ -42,7 +40,7 @@ pub struct RoutineProfile {
 /// let mut node = Node::new(program.clone(), NodeConfig::default());
 /// let mut rec = Recorder::new(program.len());
 /// node.run(1_000, &mut rec)?;
-/// let profile = Profile::of_trace(&rec.into_trace(), &program);
+/// let profile = Profile::try_of_trace(&rec.into_trace(), &program)?;
 /// assert_eq!(profile.total_executions, 2);
 /// # Ok(())
 /// # }
@@ -58,26 +56,28 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Builds a profile from explicit per-instruction counts.
+    /// Profiles an entire recorded run of `program`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `counts.len()` differs from the program length; see
-    /// [`Profile::try_from_counts`].
-    pub fn from_counts(counts: &[u64], program: &Program) -> Profile {
-        assert_eq!(counts.len(), program.len(), "count dimension mismatch");
-        Profile::build(counts, program)
-    }
-
-    /// Fallible [`Profile::from_counts`].
-    pub fn try_from_counts(counts: &[u64], program: &Program) -> Result<Profile, CounterError> {
-        if counts.len() != program.len() {
+    /// [`CounterError::SegmentCount`] or [`CounterError::SegmentWidth`]
+    /// for a structurally broken trace, and [`CounterError::WidthMismatch`]
+    /// if the program's length differs from the trace's.
+    pub fn try_of_trace(trace: &Trace, program: &Program) -> Result<Profile, CounterError> {
+        check_segments(trace)?;
+        if program.len() != trace.program_len {
             return Err(CounterError::WidthMismatch {
                 expected: program.len(),
-                got: counts.len(),
+                got: trace.program_len,
             });
         }
-        Ok(Profile::build(counts, program))
+        let mut counts = vec![0u64; trace.program_len];
+        for seg in &trace.segments {
+            for (c, &v) in counts.iter_mut().zip(seg) {
+                *c += u64::from(v);
+            }
+        }
+        Ok(Profile::build(&counts, program))
     }
 
     fn build(counts: &[u64], program: &Program) -> Profile {
@@ -111,61 +111,6 @@ impl Profile {
             total_executions,
             total_cycles,
         }
-    }
-
-    /// Profiles an entire recorded run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's dimensions disagree with the program; see
-    /// [`Profile::try_of_trace`].
-    pub fn of_trace(trace: &Trace, program: &Program) -> Profile {
-        Profile::try_of_trace(trace, program).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Profile::of_trace`]: rejects ragged segments and a
-    /// program/trace length disagreement instead of panicking or silently
-    /// truncating.
-    pub fn try_of_trace(trace: &Trace, program: &Program) -> Result<Profile, CounterError> {
-        let mut counts = vec![0u64; trace.program_len];
-        for (index, seg) in trace.segments.iter().enumerate() {
-            if seg.len() != trace.program_len {
-                return Err(CounterError::SegmentWidth {
-                    index,
-                    expected: trace.program_len,
-                    got: seg.len(),
-                });
-            }
-            for (c, &v) in counts.iter_mut().zip(seg.iter()) {
-                *c += u64::from(v);
-            }
-        }
-        Profile::try_from_counts(&counts, program)
-    }
-
-    /// Profiles a single event-handling interval (what executed during its
-    /// wall-clock span, including interleaved instances).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval lies outside the table or the table's
-    /// dimension disagrees with the program; see
-    /// [`Profile::try_of_interval`].
-    pub fn of_interval(
-        table: &CounterTable,
-        interval: &EventInterval,
-        program: &Program,
-    ) -> Profile {
-        Profile::try_of_interval(table, interval, program).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Profile::of_interval`].
-    pub fn try_of_interval(
-        table: &CounterTable,
-        interval: &EventInterval,
-        program: &Program,
-    ) -> Result<Profile, CounterError> {
-        Profile::try_from_counts(&table.try_counter(interval)?, program)
     }
 
     /// Renders a ranked table.
@@ -238,7 +183,7 @@ spin:
     #[test]
     fn whole_run_profile_accounts_every_instruction() {
         let (program, trace, retired) = run();
-        let profile = Profile::of_trace(&trace, &program);
+        let profile = Profile::try_of_trace(&trace, &program).unwrap();
         assert_eq!(profile.total_executions, retired);
         // The spin loop dominates.
         assert_eq!(profile.routines[0].routine, "spin");
@@ -246,24 +191,9 @@ spin:
     }
 
     #[test]
-    fn interval_profile_is_a_subset() {
-        let (program, trace, _) = run();
-        let extraction = crate::extract(&trace).unwrap();
-        let table = CounterTable::new(&trace);
-        let whole = Profile::of_trace(&trace, &program);
-        let one = Profile::of_interval(&table, &extraction.intervals[0], &program);
-        assert!(one.total_executions > 0);
-        assert!(one.total_executions < whole.total_executions);
-        // Any routine in the interval profile exists in the whole profile.
-        for r in &one.routines {
-            assert!(whole.routines.iter().any(|w| w.routine == r.routine));
-        }
-    }
-
-    #[test]
     fn table_lists_routines_and_total() {
         let (program, trace, _) = run();
-        let profile = Profile::of_trace(&trace, &program);
+        let profile = Profile::try_of_trace(&trace, &program).unwrap();
         let t = profile.table();
         assert!(t.contains("spin"));
         assert!(t.contains("total"));
@@ -272,24 +202,34 @@ spin:
 
     #[test]
     fn try_apis_reject_mismatched_dimensions() {
-        let program = tinyvm::assemble("main:\n nop\n ret\n").unwrap();
+        let (program, trace, _) = run();
+        let nop = tinyvm::assemble("main:\n nop\n ret\n").unwrap();
         assert_eq!(
-            Profile::try_from_counts(&[1, 2, 3], &program).unwrap_err(),
+            Profile::try_of_trace(&trace, &nop).unwrap_err(),
             CounterError::WidthMismatch {
                 expected: 2,
-                got: 3
+                got: program.len()
             }
         );
-        let (_, mut trace, _) = run();
-        trace.segments[0] = vec![1];
-        let got = Profile::try_of_trace(&trace, &program).unwrap_err();
+        let mut ragged = trace.clone();
+        ragged.segments[0] = vec![1];
+        let got = Profile::try_of_trace(&ragged, &program).unwrap_err();
         assert!(matches!(got, CounterError::SegmentWidth { index: 0, .. }));
+        let mut short = trace;
+        short.segments.pop();
+        let got = Profile::try_of_trace(&short, &program).unwrap_err();
+        assert!(matches!(got, CounterError::SegmentCount { .. }));
     }
 
     #[test]
     fn zero_counts_profile_is_empty() {
         let program = tinyvm::assemble("main:\n nop\n ret\n").unwrap();
-        let profile = Profile::from_counts(&[0, 0], &program);
+        let idle = Trace {
+            events: vec![],
+            segments: vec![vec![0, 0]],
+            program_len: 2,
+        };
+        let profile = Profile::try_of_trace(&idle, &program).unwrap();
         assert!(profile.routines.is_empty());
         assert_eq!(profile.total_cycles, 0);
     }

@@ -1,7 +1,10 @@
-//! Validates the paper's interval-inference algorithm (Figure 4, built on
-//! Criteria 1–3, consuming only the lifecycle sequence) against the VM's
-//! ground-truth instance bookkeeping, across randomized interrupt
-//! schedules. This is the strongest check that the inference is exact.
+//! Validates the interval inference (Criteria 1–3, consuming only the
+//! lifecycle sequence) against the VM's ground-truth instance bookkeeping
+//! and against the paper's Figure-4 search ([`figure4`]), across
+//! randomized interrupt schedules. This is the strongest check that the
+//! inference is exact.
+
+mod figure4;
 
 use sentomist_trace::{extract, CounterTable, Recorder};
 use std::sync::Arc;
@@ -115,6 +118,11 @@ fn inference_matches_ground_truth_across_seeds() {
     for seed in 0..20u64 {
         let (node, trace) = run_stress(seed, 400_000);
         let x = extract(&trace).expect("well-formed trace");
+        assert_eq!(
+            figure4::extract(&trace).expect("Figure 4 accepts the trace"),
+            x,
+            "seed {seed}: the tracker and Figure 4 disagree"
+        );
         let gt = node.ground_truth();
 
         let complete_gt: Vec<_> = gt.iter().filter(|g| g.is_complete()).collect();
@@ -195,13 +203,14 @@ fn stress_app_produces_rich_interleavings() {
 fn counters_cover_all_instructions_within_span() {
     let (_, trace) = run_stress(7, 200_000);
     let x = extract(&trace).unwrap();
-    let table = CounterTable::new(&trace);
+    let table = CounterTable::try_new(&trace).unwrap();
+    let mut row = vec![0.0; table.dimension()];
     for iv in &x.intervals {
-        let c = table.counter(iv);
-        let total: u64 = c.iter().sum();
+        table.try_features_into(iv, &mut row).unwrap();
+        let total: f64 = row.iter().sum();
         if iv.end_index > iv.start_index {
             assert!(
-                total > 0,
+                total > 0.0,
                 "non-degenerate interval should contain instructions"
             );
         }

@@ -1,12 +1,15 @@
-//! Property test: the Figure-4 extraction is validated against an
+//! Property test: the interval extraction is validated against an
 //! *independent* reference scheduler (separate from the TinyVM node) over
-//! proptest-generated interrupt schedules.
+//! proptest-generated boot posts and interrupt schedules, and against the
+//! paper's Figure-4 search ([`figure4`]).
 //!
 //! The reference simulates the concurrency model directly — preemptible
 //! frames with durations, a FIFO task queue, per-line in-service masking —
 //! and tracks true instance ownership with [`tinyvm::ground_truth`]. The
 //! extraction, fed only the emitted lifecycle sequence, must recover every
 //! interval exactly.
+
+mod figure4;
 
 use proptest::prelude::*;
 use sentomist_trace::recorder::{Trace, TraceEvent};
@@ -43,8 +46,9 @@ enum Frame {
     },
 }
 
-/// Reference simulation of the TinyOS concurrency model (Rules 1–3).
-fn simulate(mut ints: Vec<IntSpec>) -> (Vec<TraceEvent>, GtTracker) {
+/// Reference simulation of the TinyOS concurrency model (Rules 1–3):
+/// `main` posts the ownerless `boot` tasks, then interrupts arrive.
+fn simulate(boot: &[TaskSpec], mut ints: Vec<IntSpec>) -> (Vec<TraceEvent>, GtTracker) {
     ints.sort_by_key(|i| (i.time, i.line));
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut gt = GtTracker::new();
@@ -82,6 +86,15 @@ fn simulate(mut ints: Vec<IntSpec>) -> (Vec<TraceEvent>, GtTracker) {
         }
     }
 
+    do_posts(
+        boot,
+        None,
+        now,
+        &mut events,
+        &mut gt,
+        &mut queue,
+        &mut task_counter,
+    );
     loop {
         // Dispatch any arrived interrupt whose line is not in service.
         let in_service = |stack: &[Frame], line: u8| {
@@ -201,9 +214,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
     fn extraction_matches_reference_scheduler(
+        boot in prop::collection::vec(task_spec(), 0..3),
         ints in prop::collection::vec(int_spec(), 0..25)
     ) {
-        let (events, gt) = simulate(ints);
+        let (events, gt) = simulate(&boot, ints);
         let n_events = events.len();
         let trace = Trace {
             events,
@@ -222,15 +236,16 @@ proptest! {
             prop_assert_eq!(inferred.irq, truth.irq);
             prop_assert_eq!(Some(inferred.end_index), truth.end_index);
             prop_assert_eq!(inferred.task_count, truth.task_count);
+            prop_assert_eq!(inferred.start_cycle, truth.start_cycle);
+            prop_assert_eq!(Some(inferred.end_cycle), truth.end_cycle);
         }
-        // The streaming extractor agrees with the batch algorithm.
-        let mut online = sentomist_trace::extract_online(&trace);
-        online.sort_by_key(|iv| iv.start_index);
-        prop_assert_eq!(online, extraction.intervals);
+        // Figure 4 agrees, `loc` (`last_run_index`) included.
+        prop_assert_eq!(figure4::extract(&trace), Ok(extraction));
     }
 
     #[test]
     fn extracted_intervals_are_well_formed(
+        boot in prop::collection::vec(task_spec(), 0..3),
         ints in prop::collection::vec(int_spec(), 0..25)
     ) {
         // Note: same-line intervals MAY partially overlap — a later
@@ -241,7 +256,7 @@ proptest! {
         //  * cycles are consistent with indices;
         //  * *handler regions* of one line never nest (in-service mask);
         //  * same-line intervals are ordered by their opening Int.
-        let (events, _gt) = simulate(ints);
+        let (events, _gt) = simulate(&boot, ints);
         let n_events = events.len();
         let trace = Trace {
             events: events.clone(),

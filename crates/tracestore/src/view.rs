@@ -324,7 +324,8 @@ impl<'a> TraceView<'a> {
     ///
     /// # Errors
     ///
-    /// Any structural error of the file.
+    /// Any structural error of the file, and [`StoreError::Corrupt`] for
+    /// a lifecycle sequence the extractor rejects.
     pub fn replay_online(&self) -> Result<Vec<EventInterval>, StoreError> {
         let program_len = self.program_len();
         let mut extractor = OnlineExtractor::new();
@@ -350,11 +351,10 @@ impl<'a> TraceView<'a> {
                                 Record::Event(ev) => {
                                     digest = format::digest_event(digest, ev.cycle, ev.item);
                                     prev_cycle = ev.cycle;
-                                    intervals.extend(extractor.feed(
-                                        events as usize,
-                                        ev.cycle,
-                                        ev.item,
-                                    ));
+                                    let done = extractor
+                                        .feed(events as usize, ev.cycle, ev.item)
+                                        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
+                                    intervals.extend(done);
                                     events += 1;
                                 }
                                 Record::Segment(_) => unreachable!("tag filtered above"),

@@ -8,7 +8,7 @@
 
 use sentomist::apps::oscilloscope::{self, OscilloscopeParams};
 use sentomist::tinyvm::{self, devices::NodeConfig, node::Node, LifecycleItem, TraceSink};
-use sentomist::trace::{EventInterval, OnlineExtractor};
+use sentomist::trace::{EventInterval, ExtractError, OnlineExtractor};
 
 /// A sink that feeds the streaming extractor directly — no trace is
 /// stored; only completed intervals (and their rolling statistics) are.
@@ -16,14 +16,20 @@ struct LiveMonitor {
     extractor: OnlineExtractor,
     index: usize,
     completed: Vec<EventInterval>,
+    /// The first item the tracker rejected; tracking stops there.
+    error: Option<ExtractError>,
     peak_open: usize,
     events_seen: usize,
 }
 
 impl TraceSink for LiveMonitor {
     fn lifecycle(&mut self, cycle: u64, item: LifecycleItem) {
-        self.completed
-            .extend(self.extractor.feed(self.index, cycle, item));
+        if self.error.is_none() {
+            match self.extractor.feed(self.index, cycle, item) {
+                Ok(done) => self.completed.extend(done),
+                Err(e) => self.error = Some(e),
+            }
+        }
         self.index += 1;
         self.events_seen += 1;
         self.peak_open = self.peak_open.max(self.extractor.open_instances());
@@ -49,10 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         extractor: OnlineExtractor::new(),
         index: 0,
         completed: Vec::new(),
+        error: None,
         peak_open: 0,
         events_seen: 0,
     };
     node.run(10_000_000, &mut monitor)?;
+    if let Some(e) = monitor.error {
+        return Err(e.into());
+    }
 
     println!(
         "monitored 10 simulated seconds: {} lifecycle events, {} intervals \

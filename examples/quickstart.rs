@@ -75,8 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Anatomize: every TIMER0 interrupt starts an event-procedure
     //    instance whose lifetime ends when its last transitively posted
-    //    task finishes (paper Definition 2, inferred by the Figure-4
-    //    algorithm from the lifecycle sequence alone).
+    //    task finishes (paper Definition 2, inferred by Criteria 1–3
+    //    from the lifecycle sequence alone).
     let extraction = sentomist::trace::extract(&trace)?;
     println!("lifecycle events recorded : {}", trace.events.len());
     println!("event-handling intervals  : {}", extraction.intervals.len());

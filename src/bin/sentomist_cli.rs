@@ -722,7 +722,7 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
     if program.len() != trace.program_len {
         return Err("program/trace instruction counts disagree".into());
     }
-    let profile = sentomist::trace::Profile::of_trace(&trace, &program);
+    let profile = sentomist::trace::Profile::try_of_trace(&trace, &program)?;
     print!("{}", profile.table());
     Ok(())
 }

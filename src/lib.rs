@@ -9,7 +9,7 @@
 //! |-------|------|
 //! | [`tinyvm`] | Cycle-accounted sensor-node MCU emulator with TinyOS concurrency semantics (the Avrora role) |
 //! | [`netsim`] | Deterministic multi-node radio simulation |
-//! | [`trace`] | Lifecycle traces, the int-reti grammar, the Figure-4 interval extraction, instruction counters |
+//! | [`trace`] | Lifecycle traces, one-pass interval extraction (the int-reti grammar and Criteria 1–3), instruction counters |
 //! | [`tracestore`] | Persistent, versioned on-disk corpus of lifecycle traces (re-mine without re-emulating) |
 //! | [`mlcore`] | One-class ν-SVM (SMO) and alternative plug-in outlier detectors |
 //! | [`staticlint`] | Static interleaving analyzer: CFG, context reachability, race rules |

@@ -4,7 +4,9 @@
 mod support;
 
 use sentomist::apps::DetectorKind;
-use support::{cli, run_ok, workdir};
+use sentomist::tinyvm::{LifecycleItem, TaskId};
+use sentomist::trace::Trace;
+use support::{cli, ev, run_ok, workdir};
 
 const APP: &str = "\
 .handler TIMER0 on_timer
@@ -572,4 +574,120 @@ fn unknown_subcommands_print_usage_to_stderr_and_exit_nonzero() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
+}
+
+/// A four-instruction app matching the hand-built traces below.
+const TINY_APP: &str = "\
+.handler TIMER0 tick
+.task work
+main:
+ ret
+tick:
+ post work
+ reti
+work:
+ ret
+";
+
+/// A hand-built trace of `items`: `events + 1` segments, each holding
+/// `program_len` counts of 1.
+fn tiny_trace(items: &[LifecycleItem], program_len: usize) -> Trace {
+    Trace {
+        events: (0..)
+            .zip(items)
+            .map(|(c, &item)| ev(c * 10, item))
+            .collect(),
+        segments: vec![vec![1; program_len]; items.len() + 1],
+        program_len,
+    }
+}
+
+/// Every subcommand that reads a trace file (`mine`, `localize`,
+/// `profile` and `mine --corroborate --causal`) rejects a structurally
+/// broken or ill-formed trace with exit 1 and an `error:` line — never a
+/// panic. `profile` does not read the lifecycle, so it profiles the two
+/// lifecycle defects.
+#[test]
+fn trace_reading_commands_reject_bad_traces() {
+    use LifecycleItem::{Int, PostTask, Reti, RunTask, TaskEnd};
+    let (post, run, end) = (
+        |t| PostTask(TaskId(t)),
+        |t| RunTask(TaskId(t)),
+        |t| TaskEnd(TaskId(t)),
+    );
+    let dir = workdir("cli-bad-traces");
+    let app = dir.join("tiny.s");
+    std::fs::write(&app, TINY_APP).unwrap();
+    let app = app.to_str().unwrap();
+    let n = sentomist::tinyvm::assemble(TINY_APP).unwrap().len();
+
+    let good = [Int(0), post(1), Reti, run(1), end(1)];
+    let mut ragged = tiny_trace(&good, n);
+    ragged.segments[1].pop();
+    let mut short = tiny_trace(&good, n);
+    short.segments.pop();
+    let fifo = tiny_trace(
+        &[
+            Int(0),
+            post(1),
+            post(2),
+            Reti,
+            run(2),
+            end(2),
+            run(1),
+            end(1),
+        ],
+        n,
+    );
+    let inside = tiny_trace(&[post(0), Int(0), run(0), Reti], n);
+    let json = |t: &Trace| serde_json::to_string(t).unwrap();
+    let whole = json(&tiny_trace(&good, n));
+    let inputs = [
+        ("ragged", json(&ragged), None),
+        ("short", json(&short), None),
+        (
+            "fifo",
+            json(&fifo),
+            Some("error: FIFO violation: post at 1 does not match run at 4\n"),
+        ),
+        (
+            "inside",
+            json(&inside),
+            Some("error: ill-formed lifecycle sequence: task item inside a handler region at 2\n"),
+        ),
+        ("truncated", whole[..whole.len() / 2].to_string(), None),
+    ];
+    for (name, body, _) in &inputs {
+        std::fs::write(dir.join(format!("{name}.trace.json")), body).unwrap();
+    }
+    for (name, _, lifecycle_error) in inputs {
+        let path = dir.join(format!("{name}.trace.json"));
+        let t = path.to_str().unwrap();
+        for (args, reads_lifecycle) in [
+            (vec!["mine", t, "--irq", "0"], true),
+            (vec!["localize", t, app, "--irq", "0"], true),
+            (vec!["profile", t, app], false),
+            (
+                vec!["mine", t, "--irq", "0", "--corroborate", app, "--causal"],
+                true,
+            ),
+        ] {
+            let out = cli().args(&args).output().unwrap();
+            let invocation = format!("sentomist {} on the {name} trace", args[0]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!stderr.contains("panicked"), "{invocation}:\n{stderr}");
+            match (lifecycle_error, reads_lifecycle) {
+                (Some(_), false) => assert!(out.status.success(), "{invocation}:\n{stderr}"),
+                (Some(line), true) => {
+                    assert_eq!(out.status.code(), Some(1), "{invocation}");
+                    assert_eq!(stderr, line, "{invocation}");
+                }
+                (None, _) => {
+                    assert_eq!(out.status.code(), Some(1), "{invocation}:\n{stderr}");
+                    assert!(stderr.starts_with("error: "), "{invocation}:\n{stderr}");
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

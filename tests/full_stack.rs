@@ -74,13 +74,14 @@ fn inference_matches_ground_truth_over_the_network() {
         }
         // Counter mass conservation: summed interval counters never exceed
         // total retired instructions times the max overlap depth.
-        let table = CounterTable::new(&trace);
-        let total_counted: u64 = x
-            .intervals
-            .iter()
-            .map(|iv| table.counter(iv).iter().sum::<u64>())
-            .sum();
-        assert!(total_counted <= trace.total_instructions() * 4);
+        let table = CounterTable::try_new(&trace).unwrap();
+        let mut row = vec![0.0; table.dimension()];
+        let mut total_counted = 0.0;
+        for iv in &x.intervals {
+            table.try_features_into(iv, &mut row).unwrap();
+            total_counted += row.iter().sum::<f64>();
+        }
+        assert!(total_counted <= (trace.total_instructions() * 4) as f64);
     }
     // The receiver heard roughly one packet per tick.
     let heard = sim.node(1).uart().len();
