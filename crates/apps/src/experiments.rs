@@ -1,25 +1,34 @@
 //! The paper's three evaluation case studies as runnable experiments.
 //!
-//! Each `run_case*` function executes the workload on the emulator,
-//! anatomizes the traces into event-handling intervals, featurizes them as
-//! instruction counters, ranks them with a plug-in detector, and — unlike
-//! the paper, which relied on manual inspection — also computes the
-//! ground-truth set of bug-symptom intervals from independent oracles, so
-//! the ranking quality is machine-checkable.
+//! Every experiment is one [`Study`]: the nodes it emulates (each a
+//! program and a [`NodeConfig`]), the network that joins them (or none
+//! when every node runs alone), the interrupt line it mines, which traces
+//! it pools and how it labels their intervals, its ground-truth symptom
+//! oracle and its detector. [`Study::emulate`] is the only emulator and
+//! [`Study::harvest`] the only miner; the case-study configurations, the
+//! trigger experiment, the multi-node and fidelity studies, the hunt's
+//! scenarios and the campaign modes each build a `Study` and run it.
+//!
+//! Unlike the paper, which relied on manual inspection, each study also
+//! computes the ground-truth set of bug-symptom intervals from an
+//! independent oracle, so the ranking quality is machine-checkable.
 
-use crate::{ctp, forwarder, oscilloscope};
+use crate::jobs::{fnv64, JobError, SupervisedTracedJob};
+use crate::{ctp, forwarder, oscilloscope, Mode};
 use mlcore::{
     EnsembleDetector, KdeDetector, KfdDetector, KnnDetector, MahalanobisDetector, PcaDetector,
 };
+use netsim::{LinkConfig, NetSim, Topology};
 use sentomist_core::campaign::{RunOutcome, Verdict};
 use sentomist_core::supervise::{RunContext, RunFailure};
 use sentomist_core::{harvest_set, Pipeline, Report, SampleIndex, SampleSet};
 use sentomist_trace::{EventInterval, Recorder, Trace};
 use std::error::Error;
+use std::sync::Arc;
 use tinyvm::devices::NodeConfig;
 use tinyvm::isa::irq;
 use tinyvm::node::Node;
-use tinyvm::LifecycleItem;
+use tinyvm::{LifecycleItem, Program};
 
 /// Simulated clock rate (cycles per second).
 pub const CYCLES_PER_SECOND: u64 = tinyvm::isa::DEFAULT_CLOCK_HZ;
@@ -161,11 +170,260 @@ impl CaseResult {
     }
 }
 
-/// True when `interval` contains a *nested* interrupt of the same line —
-/// the paper's outlier pattern for case study I ("ADC interrupt, posting
-/// a task, interrupt exit, ADC interrupt, interrupt exit, running the
-/// task").
-pub(crate) fn contains_nested_int(trace: &Trace, interval: &EventInterval, line: u8) -> bool {
+// ---------------------------------------------------------------------
+// The case-study table: one study per experiment
+// ---------------------------------------------------------------------
+
+/// Which recorded traces a study pools into its sample set, and how it
+/// labels their intervals (the three index styles of Figure 5).
+#[derive(Debug, Clone)]
+pub(crate) enum Pool {
+    /// Every trace, one testing run each, labelled `[run, seq]`.
+    Runs,
+    /// The trace of this one node, labelled `seq`.
+    Node(u16),
+    /// The traces of these nodes, in this order, labelled `[node, seq]`.
+    Nodes(Vec<u16>),
+}
+
+/// The ground-truth oracle that marks an interval as a bug symptom.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Symptom {
+    /// Another interrupt of the mined line fired inside the interval:
+    /// case I's race pattern ("ADC interrupt, posting a task, interrupt
+    /// exit, ADC interrupt, interrupt exit, running the task").
+    NestedInt,
+    /// The interval executed this pc, the labelled bug branch; `None`
+    /// when the program has no such branch (case II's fixed relay).
+    Executes(Option<u16>),
+}
+
+/// One experiment: what to emulate, what to mine, and how to tell a bug
+/// symptom. Built by the case-study configurations
+/// ([`Case1Config::study`] and its siblings), the trigger experiment, the
+/// hunt's scenarios and the campaign modes.
+#[derive(Debug, Clone)]
+pub struct Study {
+    /// Names the study in error messages.
+    pub(crate) name: &'static str,
+    /// The emulated nodes in id order, each a program and its config.
+    pub(crate) nodes: Vec<(Arc<Program>, NodeConfig)>,
+    /// The topology joining the nodes and the simulator's link-loss seed;
+    /// `None` when every node runs alone.
+    pub(crate) network: Option<(Topology, u64)>,
+    /// Emulated cycles per node.
+    pub(crate) cycles: u64,
+    /// The interrupt line whose event-handling intervals are mined.
+    pub(crate) irq: u8,
+    /// Which traces are pooled and how their intervals are labelled.
+    pub(crate) pool: Pool,
+    /// The ground-truth symptom oracle.
+    pub(crate) symptom: Symptom,
+    /// The plug-in detector that ranks the pooled intervals.
+    pub(crate) detector: DetectorKind,
+}
+
+/// What [`Study::emulate`] recorded, one entry per node in id order.
+#[derive(Debug, Clone)]
+pub struct Emulation {
+    /// The lifecycle traces.
+    pub traces: Vec<Trace>,
+    /// The words each node wrote to its UART (case I's independent data
+    /// oracle: see [`oscilloscope::parse_uart`]).
+    pub uart: Vec<Vec<u16>>,
+}
+
+/// Cycles emulated between supervisor checks when nodes run alone.
+/// Small enough that a watchdog cancellation or cycle-budget exhaustion
+/// is honored promptly, large enough that the checks cost nothing
+/// against real emulation work.
+const SUPERVISE_SLICE_CYCLES: u64 = 1_000_000;
+
+impl Study {
+    /// Emulates every node and records its trace.
+    ///
+    /// A networked study calls [`NetSim::run`] once and runs to the end.
+    /// Nodes that run alone advance in one-million-cycle slices; when
+    /// `ctx` is given they check it between slices, so a watchdog
+    /// cancellation stops a runaway run mid-flight and an optional cycle
+    /// budget caps how long each node may emulate. Slicing does not
+    /// change the machine state: the recorded trace is bit-identical to a
+    /// single [`Node::run`] call.
+    ///
+    /// # Errors
+    ///
+    /// Machine and simulation faults are [`RunFailure::Fatal`], since
+    /// they repeat for the same seed; budget and cancellation stops are
+    /// [`RunFailure::TimedOut`].
+    pub fn emulate(&self, ctx: Option<&RunContext>) -> Result<Emulation, RunFailure> {
+        fn fatal(e: impl std::fmt::Display) -> RunFailure {
+            RunFailure::Fatal(e.to_string())
+        }
+        let mut recorders: Vec<Recorder> = self
+            .nodes
+            .iter()
+            .map(|(program, _)| Recorder::new(program.len()))
+            .collect();
+        let uart = match &self.network {
+            Some((topology, seed)) => {
+                let mut sim = NetSim::new(topology.clone(), *seed);
+                for (program, config) in &self.nodes {
+                    sim.add_node(program.clone(), *config).map_err(fatal)?;
+                }
+                sim.run(self.cycles, &mut recorders).map_err(fatal)?;
+                (0..sim.node_count())
+                    .map(|id| sim.node(id as u16).uart().to_vec())
+                    .collect()
+            }
+            None => {
+                let limit = self.cycles;
+                let cap = ctx
+                    .and_then(RunContext::cycle_budget)
+                    .unwrap_or(u64::MAX)
+                    .min(limit);
+                let mut uart = Vec::with_capacity(self.nodes.len());
+                for ((program, config), recorder) in self.nodes.iter().zip(&mut recorders) {
+                    let mut node = Node::new(program.clone(), *config);
+                    loop {
+                        if ctx.is_some_and(RunContext::cancelled) {
+                            return Err(RunFailure::TimedOut(format!(
+                                "cancelled by the watchdog at cycle {}",
+                                node.cycle()
+                            )));
+                        }
+                        let next = node.cycle().saturating_add(SUPERVISE_SLICE_CYCLES).min(cap);
+                        node.advance(next, recorder).map_err(fatal)?;
+                        if node.cycle() >= cap || node.halted() {
+                            break;
+                        }
+                    }
+                    if cap < limit && !node.halted() {
+                        return Err(RunFailure::TimedOut(format!(
+                            "cycle budget {cap} exhausted before the {limit}-cycle run finished"
+                        )));
+                    }
+                    node.finish(recorder);
+                    uart.push(node.uart().to_vec());
+                }
+                uart
+            }
+        };
+        Ok(Emulation {
+            traces: recorders.into_iter().map(Recorder::into_trace).collect(),
+            uart,
+        })
+    }
+
+    /// Harvests the pooled traces' intervals on the study's IRQ into one
+    /// sample set, in pool order, and returns it with the samples the
+    /// symptom oracle flags. `traces` holds one trace per node, in id
+    /// order, as [`Study::emulate`] records them.
+    ///
+    /// # Errors
+    ///
+    /// A trace count other than the node count; extraction errors.
+    pub fn harvest(
+        &self,
+        traces: &[Trace],
+    ) -> Result<(SampleSet, Vec<SampleIndex>), Box<dyn Error>> {
+        if traces.len() != self.nodes.len() {
+            return Err(format!(
+                "{} expects {} node traces, got {}",
+                self.name,
+                self.nodes.len(),
+                traces.len()
+            )
+            .into());
+        }
+        let pooled: Vec<u16> = match &self.pool {
+            Pool::Runs => (0..traces.len() as u16).collect(),
+            Pool::Node(id) => vec![*id],
+            Pool::Nodes(ids) => ids.clone(),
+        };
+        let mut set = SampleSet::empty();
+        let mut buggy = Vec::new();
+        for id in pooled {
+            let trace = &traces[usize::from(id)];
+            let part = harvest_set(trace, self.irq, |seq, _| match self.pool {
+                Pool::Runs => SampleIndex::RunSeq {
+                    run: u32::from(id) + 1,
+                    seq,
+                },
+                Pool::Node(_) => SampleIndex::Seq(seq),
+                Pool::Nodes(_) => SampleIndex::NodeSeq { node: id, seq },
+            })?;
+            for (m, row) in part.meta.iter().zip(part.features.rows_iter()) {
+                let symptom = match self.symptom {
+                    Symptom::NestedInt => contains_nested_int(trace, &m.interval, self.irq),
+                    Symptom::Executes(pc) => {
+                        pc.is_some_and(|pc| row.get(usize::from(pc)).is_some_and(|&n| n > 0.0))
+                    }
+                };
+                if symptom {
+                    buggy.push(m.index);
+                }
+            }
+            set.append(&part);
+        }
+        Ok((set, buggy))
+    }
+
+    /// Harvests and ranks the study's recorded traces. This is the one
+    /// mining path behind a live run and a store re-mine, which is what
+    /// makes re-ranking a stored corpus bit-identical to the live run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Study::harvest`], plus pipeline errors.
+    pub fn mine(&self, traces: &[Trace]) -> Result<CaseResult, Box<dyn Error>> {
+        let (set, buggy) = self.harvest(traces)?;
+        let sample_count = set.len();
+        let report = self.detector.pipeline().rank_set(set)?;
+        Ok(CaseResult::new(
+            report,
+            sample_count,
+            buggy,
+            chain_digest(traces.iter().map(Trace::digest)),
+        ))
+    }
+
+    /// Emulates the study and mines its traces, handing the traces back
+    /// for callers that persist them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Study::emulate`] and [`Study::mine`].
+    pub fn run(&self) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>> {
+        let traces = self
+            .emulate(None)
+            .map_err(|failure| failure.message().to_string())?
+            .traces;
+        let result = self.mine(&traces)?;
+        Ok((result, traces))
+    }
+
+    /// FNV-1a digest over the disassembly of the study's programs, which
+    /// run manifests record as the program identity: the one program's
+    /// digest when every node runs the same program, else the per-node
+    /// digests chained in node order.
+    pub fn program_digest(&self) -> u64 {
+        let digest = |(program, _): &(Arc<Program>, NodeConfig)| {
+            fnv64(tinyvm::disassemble(program).as_bytes())
+        };
+        if self
+            .nodes
+            .windows(2)
+            .all(|pair| Arc::ptr_eq(&pair[0].0, &pair[1].0))
+        {
+            digest(&self.nodes[0])
+        } else {
+            chain_digest(self.nodes.iter().map(digest))
+        }
+    }
+}
+
+/// True when `interval` contains a *nested* interrupt of the same line.
+fn contains_nested_int(trace: &Trace, interval: &EventInterval, line: u8) -> bool {
     (interval.start_index + 1..interval.end_index)
         .any(|i| trace.events[i].item == LifecycleItem::Int(line))
 }
@@ -178,6 +436,85 @@ pub(crate) fn chain_digest(digests: impl IntoIterator<Item = u64>) -> u64 {
         h = (h ^ d).wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// Oscilloscope nodes that run alone, mined on the ADC line for nested
+/// interrupts.
+pub(crate) fn oscilloscope_alone(
+    name: &'static str,
+    nodes: Vec<(Arc<Program>, NodeConfig)>,
+    run_seconds: u64,
+    pool: Pool,
+    detector: DetectorKind,
+) -> Study {
+    Study {
+        name,
+        nodes,
+        network: None,
+        cycles: run_seconds * CYCLES_PER_SECOND,
+        irq: irq::ADC,
+        pool,
+        symptom: Symptom::NestedInt,
+        detector,
+    }
+}
+
+/// Case II's three-node chain (sink, `relay`, source), one link config
+/// per hop, mined on the relay's packet arrivals for its `fwd_drop`
+/// branch.
+pub(crate) fn forwarder_chain(
+    name: &'static str,
+    relay: Arc<Program>,
+    params: &forwarder::ForwarderParams,
+    links: [LinkConfig; 2],
+    seed: u64,
+    run_seconds: u64,
+    detector: DetectorKind,
+) -> Result<Study, Box<dyn Error>> {
+    use forwarder::nodes::{RELAY, SINK, SOURCE};
+    let drop_pc = relay.label("fwd_drop");
+    let sink = forwarder::sink_program()?;
+    let source = forwarder::source_program(params)?;
+    Ok(Study {
+        name,
+        nodes: vec![
+            (sink, forwarder::node_config(SINK, seed)),
+            (relay, forwarder::node_config(RELAY, seed.wrapping_add(1))),
+            (source, forwarder::node_config(SOURCE, seed.wrapping_add(2))),
+        ],
+        network: Some((Topology::chain_with(&links)?, seed)),
+        cycles: run_seconds * CYCLES_PER_SECOND,
+        irq: irq::RX,
+        pool: Pool::Node(RELAY),
+        symptom: Symptom::Executes(drop_pc),
+        detector,
+    })
+}
+
+/// Case III's CTP tree, every node running `program`, mined on the
+/// sources' report timer for the `ctp_fail` branch.
+pub(crate) fn ctp_tree(
+    name: &'static str,
+    program: Arc<Program>,
+    seed: u64,
+    run_seconds: u64,
+    detector: DetectorKind,
+) -> Result<Study, Box<dyn Error>> {
+    let fail_pc = program
+        .label("ctp_fail")
+        .ok_or("ctp program lacks the ctp_fail label")?;
+    Ok(Study {
+        name,
+        nodes: (0..ctp::NODE_COUNT)
+            .map(|id| (program.clone(), ctp::node_config(id, seed)))
+            .collect(),
+        network: Some((ctp::topology()?, seed)),
+        cycles: run_seconds * CYCLES_PER_SECOND,
+        irq: irq::TIMER0,
+        pool: Pool::Nodes(ctp::SOURCES.to_vec()),
+        symptom: Symptom::Executes(Some(fail_pc)),
+        detector,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -211,105 +548,42 @@ impl Default for Case1Config {
     }
 }
 
-/// Emulates case study I's testing runs: one trace per sampling period,
-/// plus the total count of polluted UART packets (the independent data
-/// oracle).
-fn case1_emulate(config: &Case1Config) -> Result<(Vec<Trace>, usize), Box<dyn Error>> {
-    let mut traces = Vec::with_capacity(config.periods_ms.len());
-    let mut polluted_packets = 0usize;
-    for (r, &period) in config.periods_ms.iter().enumerate() {
-        let params = oscilloscope::OscilloscopeParams::with_period_ms(period);
-        let program = if config.use_fixed {
-            oscilloscope::fixed(&params)?
-        } else {
-            oscilloscope::buggy(&params)?
-        };
-        let mut node = Node::new(
-            program.clone(),
-            NodeConfig {
-                seed: config.seed.wrapping_add(r as u64),
+impl Case1Config {
+    /// Case study I: one testing run per sampling period (run `r` seeded
+    /// `seed + r`), its ADC event-handling intervals pooled as
+    /// `[run, seq]`.
+    ///
+    /// Ground truth: an interval is a bug symptom iff another ADC
+    /// interrupt fired inside it, the data race's only trigger pattern.
+    /// The UART data oracle (actual packet pollution) is in
+    /// [`Emulation::uart`].
+    ///
+    /// # Errors
+    ///
+    /// Assembly errors.
+    pub fn study(&self) -> Result<Study, Box<dyn Error>> {
+        let mut nodes = Vec::with_capacity(self.periods_ms.len());
+        for (r, &period) in self.periods_ms.iter().enumerate() {
+            let params = oscilloscope::OscilloscopeParams::with_period_ms(period);
+            let program = if self.use_fixed {
+                oscilloscope::fixed(&params)?
+            } else {
+                oscilloscope::buggy(&params)?
+            };
+            let config = NodeConfig {
+                seed: self.seed.wrapping_add(r as u64),
                 ..NodeConfig::default()
-            },
-        );
-        let mut recorder = Recorder::new(program.len());
-        node.run(config.run_seconds * CYCLES_PER_SECOND, &mut recorder)?;
-        polluted_packets += oscilloscope::parse_uart(node.uart())
-            .iter()
-            .filter(|p| p.polluted())
-            .count();
-        traces.push(recorder.into_trace());
-    }
-    Ok((traces, polluted_packets))
-}
-
-/// Mines case study I from its recorded traces (one per sampling period,
-/// in `periods_ms` order). This is the single mining code path shared by
-/// the live [`run_case1`] and store-replayed re-mining, which is what
-/// makes re-ranking a stored corpus bit-identical to the live run.
-///
-/// # Errors
-///
-/// Propagates trace extraction and pipeline errors.
-pub fn mine_case1(config: &Case1Config, traces: &[Trace]) -> Result<CaseResult, Box<dyn Error>> {
-    let mut all_samples = SampleSet::empty();
-    let mut buggy: Vec<SampleIndex> = Vec::new();
-    let mut digests: Vec<u64> = Vec::new();
-    for (r, trace) in traces.iter().enumerate() {
-        digests.push(trace.digest());
-        let run_no = r as u32 + 1;
-        let set = harvest_set(trace, irq::ADC, |seq, _| SampleIndex::RunSeq {
-            run: run_no,
-            seq,
-        })?;
-        for m in &set.meta {
-            if contains_nested_int(trace, &m.interval, irq::ADC) {
-                buggy.push(m.index);
-            }
+            };
+            nodes.push((program, config));
         }
-        all_samples.append(&set);
+        Ok(oscilloscope_alone(
+            "case I",
+            nodes,
+            self.run_seconds,
+            Pool::Runs,
+            self.detector,
+        ))
     }
-    let sample_count = all_samples.len();
-    let report = config.detector.pipeline().rank_set(all_samples)?;
-    Ok(CaseResult::new(
-        report,
-        sample_count,
-        buggy,
-        chain_digest(digests),
-    ))
-}
-
-/// Runs case study I and ranks the ADC event-handling intervals.
-///
-/// Ground truth: an interval is a bug symptom iff another ADC interrupt
-/// fired inside it (the data race's only trigger pattern); the UART data
-/// oracle (actual packet pollution) is checked for agreement.
-///
-/// # Errors
-///
-/// Propagates VM faults, trace extraction and pipeline errors.
-pub fn run_case1(config: &Case1Config) -> Result<CaseResult, Box<dyn Error>> {
-    run_case1_traced(config).map(|(result, _)| result)
-}
-
-/// Like [`run_case1`], but also hands back the recorded traces (one per
-/// sampling period) so callers can persist them to a trace store.
-///
-/// # Errors
-///
-/// Propagates VM faults, trace extraction and pipeline errors.
-pub fn run_case1_traced(config: &Case1Config) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>> {
-    let (traces, polluted_packets) = case1_emulate(config)?;
-    let result = mine_case1(config, &traces)?;
-    // Cross-check the two independent oracles: every polluted packet stems
-    // from a nested-interrupt interval. (The trace oracle can flag one
-    // extra interval at the horizon whose packet never got sent.)
-    debug_assert!(
-        result.buggy.len() >= polluted_packets,
-        "oracles disagree: {} intervals vs {} polluted packets",
-        result.buggy.len(),
-        polluted_packets
-    );
-    Ok((result, traces))
 }
 
 // ---------------------------------------------------------------------
@@ -347,99 +621,37 @@ impl Default for Case2Config {
     }
 }
 
-/// Emulates case study II: a 3-node chain (sink, relay, source), returning
-/// the traces in node-id order.
-fn case2_emulate(config: &Case2Config) -> Result<Vec<Trace>, Box<dyn Error>> {
-    let relay = if config.use_fixed {
-        forwarder::relay_program_fixed()?
-    } else {
-        forwarder::relay_program_buggy()?
-    };
-    let link = netsim::LinkConfig {
-        loss_prob: config.link_loss,
-        ..netsim::LinkConfig::default()
-    };
-    let mut sim = netsim::NetSim::new(netsim::Topology::chain(3, link)?, config.seed);
-    sim.add_node(
-        forwarder::sink_program()?,
-        forwarder::node_config(forwarder::nodes::SINK, config.seed),
-    )?;
-    sim.add_node(
-        relay.clone(),
-        forwarder::node_config(forwarder::nodes::RELAY, config.seed + 1),
-    )?;
-    sim.add_node(
-        forwarder::source_program(&config.params)?,
-        forwarder::node_config(forwarder::nodes::SOURCE, config.seed + 2),
-    )?;
-    let mut recorders = vec![
-        Recorder::new(sim.node(0).program().len()),
-        Recorder::new(relay.len()),
-        Recorder::new(sim.node(2).program().len()),
-    ];
-    sim.run(config.run_seconds * CYCLES_PER_SECOND, &mut recorders)?;
-    Ok(recorders.into_iter().map(Recorder::into_trace).collect())
-}
-
-/// Mines case study II from its recorded traces (sink, relay, source in
-/// node-id order); shared by [`run_case2`] and store-replayed re-mining.
-///
-/// # Errors
-///
-/// Fails on a wrong trace count; propagates assembly, extraction and
-/// pipeline errors.
-pub fn mine_case2(config: &Case2Config, traces: &[Trace]) -> Result<CaseResult, Box<dyn Error>> {
-    if traces.len() != 3 {
-        return Err(format!("case II expects 3 node traces, got {}", traces.len()).into());
+impl Case2Config {
+    /// Case study II: a 3-node chain (sink, relay, source), the relay's
+    /// packet-arrival intervals labelled `seq`.
+    ///
+    /// Ground truth: an interval is a bug symptom iff the relay executed
+    /// its active-drop branch during it (located by the `fwd_drop`
+    /// label; the fixed relay has none, so it has no symptoms).
+    ///
+    /// # Errors
+    ///
+    /// Assembly and topology errors.
+    pub fn study(&self) -> Result<Study, Box<dyn Error>> {
+        let relay = if self.use_fixed {
+            forwarder::relay_program_fixed()?
+        } else {
+            forwarder::relay_program_buggy()?
+        };
+        let link = LinkConfig {
+            loss_prob: self.link_loss,
+            ..LinkConfig::default()
+        };
+        forwarder_chain(
+            "case II",
+            relay,
+            &self.params,
+            [link, link],
+            self.seed,
+            self.run_seconds,
+            self.detector,
+        )
     }
-    // Re-assemble the relay only to locate the ground-truth drop label;
-    // assembly is deterministic, so the label matches the recorded run.
-    let relay = if config.use_fixed {
-        forwarder::relay_program_fixed()?
-    } else {
-        forwarder::relay_program_buggy()?
-    };
-    let drop_pc = relay.label("fwd_drop");
-    let trace_digest = chain_digest(traces.iter().map(Trace::digest));
-    let relay_trace = &traces[1];
-    let set = harvest_set(relay_trace, irq::RX, |seq, _| SampleIndex::Seq(seq))?;
-    let buggy: Vec<SampleIndex> = match drop_pc {
-        Some(pc) => set
-            .meta
-            .iter()
-            .zip(set.features.rows_iter())
-            .filter(|(_, row)| row[pc as usize] > 0.0)
-            .map(|(m, _)| m.index)
-            .collect(),
-        None => Vec::new(), // fixed relay has no drop branch to hit
-    };
-    let sample_count = set.len();
-    let report = config.detector.pipeline().rank_set(set)?;
-    Ok(CaseResult::new(report, sample_count, buggy, trace_digest))
-}
-
-/// Runs case study II and ranks the relay's packet-arrival intervals.
-///
-/// Ground truth: an interval is a bug symptom iff the relay executed its
-/// active-drop branch during it (located by the `fwd_drop` label).
-///
-/// # Errors
-///
-/// Propagates simulation, extraction and pipeline errors.
-pub fn run_case2(config: &Case2Config) -> Result<CaseResult, Box<dyn Error>> {
-    run_case2_traced(config).map(|(result, _)| result)
-}
-
-/// Like [`run_case2`], but also hands back the three recorded node traces
-/// for persistence.
-///
-/// # Errors
-///
-/// Propagates simulation, extraction and pipeline errors.
-pub fn run_case2_traced(config: &Case2Config) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>> {
-    let traces = case2_emulate(config)?;
-    let result = mine_case2(config, &traces)?;
-    Ok((result, traces))
 }
 
 // ---------------------------------------------------------------------
@@ -473,98 +685,33 @@ impl Default for Case3Config {
     }
 }
 
-/// Runs case study III and ranks the report-timer intervals of the four
-/// source nodes (pooled, as in the paper's 95-sample table).
-///
-/// Ground truth: an interval is a bug symptom iff the CTP send-failure
-/// branch executed during it (located by the `ctp_fail` label).
-///
-/// # Errors
-///
-/// Propagates simulation, extraction and pipeline errors.
-pub fn run_case3(config: &Case3Config) -> Result<CaseResult, Box<dyn Error>> {
-    run_case3_traced(config).map(|(result, _)| result)
-}
-
-/// Emulates case study III: all CTP nodes on the paper's topology,
-/// returning one trace per node in id order.
-fn case3_emulate(config: &Case3Config) -> Result<Vec<Trace>, Box<dyn Error>> {
-    let program = if config.use_fixed {
-        ctp::fixed(&config.params)?
-    } else {
-        ctp::buggy(&config.params)?
-    };
-    let mut sim = netsim::NetSim::new(ctp::topology()?, config.seed);
-    for id in 0..ctp::NODE_COUNT {
-        sim.add_node(program.clone(), ctp::node_config(id, config.seed))?;
-    }
-    let mut recorders: Vec<Recorder> = (0..ctp::NODE_COUNT)
-        .map(|_| Recorder::new(program.len()))
-        .collect();
-    sim.run(config.run_seconds * CYCLES_PER_SECOND, &mut recorders)?;
-    Ok(recorders.into_iter().map(Recorder::into_trace).collect())
-}
-
-/// Mines case study III from its recorded traces (one per node, in node-id
-/// order); shared by [`run_case3`] and store-replayed re-mining.
-///
-/// # Errors
-///
-/// Fails on a wrong trace count; propagates assembly, extraction and
-/// pipeline errors.
-pub fn mine_case3(config: &Case3Config, traces: &[Trace]) -> Result<CaseResult, Box<dyn Error>> {
-    if traces.len() != ctp::NODE_COUNT as usize {
-        return Err(format!(
-            "case III expects {} node traces, got {}",
-            ctp::NODE_COUNT,
-            traces.len()
+impl Case3Config {
+    /// Case study III: every CTP node on the paper's topology, the
+    /// report-timer intervals of the four source nodes pooled as
+    /// `[node, seq]` (the paper's 95-sample table).
+    ///
+    /// Ground truth: an interval is a bug symptom iff the CTP
+    /// send-failure branch executed during it (located by the `ctp_fail`
+    /// label).
+    ///
+    /// # Errors
+    ///
+    /// Assembly and topology errors, or a program without the
+    /// `ctp_fail` label.
+    pub fn study(&self) -> Result<Study, Box<dyn Error>> {
+        let program = if self.use_fixed {
+            ctp::fixed(&self.params)?
+        } else {
+            ctp::buggy(&self.params)?
+        };
+        ctp_tree(
+            "case III",
+            program,
+            self.seed,
+            self.run_seconds,
+            self.detector,
         )
-        .into());
     }
-    // Re-assemble only to locate the ground-truth failure label;
-    // assembly is deterministic, so the label matches the recorded run.
-    let program = if config.use_fixed {
-        ctp::fixed(&config.params)?
-    } else {
-        ctp::buggy(&config.params)?
-    };
-    let fail_pc = program
-        .label("ctp_fail")
-        .ok_or("ctp program lacks the ctp_fail label")? as usize;
-    let trace_digest = chain_digest(traces.iter().map(Trace::digest));
-    let mut all_samples = SampleSet::empty();
-    let mut buggy = Vec::new();
-    for (id, trace) in traces.iter().enumerate() {
-        let node = id as u16;
-        if !ctp::SOURCES.contains(&node) {
-            continue;
-        }
-        let set = harvest_set(trace, irq::TIMER0, |seq, _| SampleIndex::NodeSeq {
-            node,
-            seq,
-        })?;
-        for (m, row) in set.meta.iter().zip(set.features.rows_iter()) {
-            if row[fail_pc] > 0.0 {
-                buggy.push(m.index);
-            }
-        }
-        all_samples.append(&set);
-    }
-    let sample_count = all_samples.len();
-    let report = config.detector.pipeline().rank_set(all_samples)?;
-    Ok(CaseResult::new(report, sample_count, buggy, trace_digest))
-}
-
-/// Like [`run_case3`], but also hands back every node's recorded trace
-/// for persistence.
-///
-/// # Errors
-///
-/// Propagates simulation, extraction and pipeline errors.
-pub fn run_case3_traced(config: &Case3Config) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>> {
-    let traces = case3_emulate(config)?;
-    let result = mine_case3(config, &traces)?;
-    Ok((result, traces))
 }
 
 #[cfg(test)]
@@ -644,32 +791,21 @@ pub fn run_fidelity(
     run_seconds: u64,
     seed: u64,
 ) -> Result<FidelityOutcome, Box<dyn Error>> {
-    let params = oscilloscope::OscilloscopeParams::with_period_ms(period_ms);
-    let program = oscilloscope::buggy(&params)?;
-    let mut node = Node::new(
-        program.clone(),
-        NodeConfig {
-            seed,
-            timing,
-            ..NodeConfig::default()
-        },
-    );
-    let mut recorder = Recorder::new(program.len());
-    node.run(run_seconds * CYCLES_PER_SECOND, &mut recorder)?;
-    let polluted = oscilloscope::parse_uart(node.uart())
+    // One trigger-experiment run under the given timing model; it is
+    // never ranked, so the ν is only a placeholder.
+    let mut study = trigger_study(period_ms, run_seconds, 0.05, seed)?;
+    study.nodes[0].1.timing = timing;
+    let emulation = study
+        .emulate(None)
+        .map_err(|failure| failure.message().to_string())?;
+    let (set, buggy) = study.harvest(&emulation.traces)?;
+    let polluted = oscilloscope::parse_uart(&emulation.uart[0])
         .iter()
         .filter(|p| p.polluted())
         .count();
-    let trace = recorder.into_trace();
-    let set = harvest_set(&trace, irq::ADC, |seq, _| SampleIndex::Seq(seq))?;
-    let symptom_intervals = set
-        .meta
-        .iter()
-        .filter(|m| contains_nested_int(&trace, &m.interval, irq::ADC))
-        .count();
     let mut depth = 0usize;
     let mut any_preemption = false;
-    for e in &trace.events {
+    for e in &emulation.traces[0].events {
         match e.item {
             LifecycleItem::Int(_) => {
                 depth += 1;
@@ -683,7 +819,7 @@ pub fn run_fidelity(
     }
     Ok(FidelityOutcome {
         polluted_packets: polluted,
-        symptom_intervals,
+        symptom_intervals: buggy.len(),
         intervals: set.len(),
         any_preemption,
     })
@@ -754,125 +890,87 @@ pub fn effort_summary(result: &CaseResult) -> EffortSummary {
 // unless we generate a variety of random interleaving scenarios")
 // ---------------------------------------------------------------------
 
-/// Cycles emulated between supervisor checks in [`trigger_job`]. Small
-/// enough that a watchdog cancellation or cycle-budget exhaustion is
-/// honored promptly, large enough that the checks cost nothing against
-/// real emulation work.
-const SUPERVISE_SLICE_CYCLES: u64 = 1_000_000;
-
-/// Builds the per-seed campaign job for the case-I trigger experiment:
-/// one `run_seconds`-second run of the buggy Oscilloscope at sampling
-/// period `period_ms`, mined in isolation with an OC-SVM(ν), handing
-/// back the outcome and the recorded trace (for campaigns that persist
-/// it to a trace store).
-///
-/// The program is assembled once, up front; the returned closure only
-/// shares that immutable program, so the supervised pool can drive it
-/// from any number of worker threads. The emulation advances in
-/// one-million-cycle slices and checks the [`RunContext`] between
-/// slices, so a watchdog cancellation stops a runaway run mid-flight and
-/// an optional cycle budget caps how long the run may emulate. Slicing
-/// does not change the machine state — the recorded trace is
-/// bit-identical to a single `Node::run` call.
-///
-/// Machine faults and mining failures are deterministic for a given seed,
-/// so they surface as [`RunFailure::Fatal`] (retrying cannot help);
-/// budget/cancellation stops are [`RunFailure::TimedOut`].
+/// The trigger experiment's study: one `run_seconds`-second run of the
+/// buggy Oscilloscope at sampling period `period_ms` under `seed`, its
+/// ADC intervals labelled `seq` and ranked with an OC-SVM(ν).
 ///
 /// # Errors
 ///
 /// Fails if the Oscilloscope program does not assemble.
-#[allow(clippy::type_complexity)]
+pub(crate) fn trigger_study(
+    period_ms: u32,
+    run_seconds: u64,
+    nu: f64,
+    seed: u64,
+) -> Result<Study, Box<dyn Error>> {
+    let params = oscilloscope::OscilloscopeParams::with_period_ms(period_ms);
+    let config = NodeConfig {
+        seed,
+        ..NodeConfig::default()
+    };
+    Ok(oscilloscope_alone(
+        "trigger run",
+        vec![(oscilloscope::buggy(&params)?, config)],
+        run_seconds,
+        Pool::Node(0),
+        DetectorKind::OcSvm { nu },
+    ))
+}
+
+/// The per-seed campaign job of the case-I trigger experiment, as
+/// [`Mode::supervised_traced_job`] builds it for [`Mode::Trigger`].
+///
+/// # Errors
+///
+/// Fails if the Oscilloscope program does not assemble.
 pub fn trigger_job(
     period_ms: u32,
     run_seconds: u64,
     nu: f64,
-) -> Result<
-    impl Fn(&RunContext) -> Result<(RunOutcome, Vec<Trace>), RunFailure> + Send + Sync,
-    Box<dyn Error>,
-> {
-    let params = oscilloscope::OscilloscopeParams::with_period_ms(period_ms);
-    let program = oscilloscope::buggy(&params)?;
-    Ok(move |ctx: &RunContext| {
-        let seed = ctx.seed();
-        let limit = run_seconds * CYCLES_PER_SECOND;
-        let cap = ctx.cycle_budget().unwrap_or(u64::MAX).min(limit);
-        let mut node = Node::new(
-            program.clone(),
-            NodeConfig {
-                seed,
-                ..NodeConfig::default()
-            },
-        );
-        let mut recorder = Recorder::new(program.len());
-        loop {
-            if ctx.cancelled() {
-                return Err(RunFailure::TimedOut(format!(
-                    "cancelled by the watchdog at cycle {}",
-                    node.cycle()
-                )));
-            }
-            let next = node.cycle().saturating_add(SUPERVISE_SLICE_CYCLES).min(cap);
-            node.advance(next, &mut recorder)
-                .map_err(|e| RunFailure::Fatal(e.to_string()))?;
-            if node.cycle() >= cap || node.halted() {
-                break;
-            }
-        }
-        if cap < limit && !node.halted() {
-            return Err(RunFailure::TimedOut(format!(
-                "cycle budget {cap} exhausted before the {limit}-cycle run finished"
-            )));
-        }
-        node.finish(&mut recorder);
-        let trace = recorder.into_trace();
-        let outcome = mine_trigger_trace(seed, &trace, nu).map_err(RunFailure::Fatal)?;
-        Ok((outcome, vec![trace]))
-    })
+) -> Result<SupervisedTracedJob, JobError> {
+    Mode::Trigger {
+        period: period_ms,
+        seconds: run_seconds,
+        nu,
+    }
+    .supervised_traced_job()
 }
 
-/// Mines one recorded trigger-run trace into its campaign outcome — the
-/// single code path behind both the live [`trigger_job`] and re-mining a
-/// stored corpus, which is what makes store-based re-ranking bit-identical
-/// to the live campaign.
+/// Mines one recorded trigger run into its campaign outcome — the single
+/// code path behind both the live [`trigger_job`] and re-mining a stored
+/// corpus. Unlike [`Study::mine`], it ranks only when a symptom exists,
+/// and the outcome carries the one trace's own digest, unchained.
 ///
 /// # Errors
 ///
-/// Extraction and pipeline failures are reported as strings, matching the
-/// campaign job contract.
-pub fn mine_trigger_trace(seed: u64, trace: &Trace, nu: f64) -> Result<RunOutcome, String> {
-    let trace_digest = trace.digest();
-    let set =
-        harvest_set(trace, irq::ADC, |seq, _| SampleIndex::Seq(seq)).map_err(|e| e.to_string())?;
-    let buggy: Vec<SampleIndex> = set
-        .meta
-        .iter()
-        .filter(|m| contains_nested_int(trace, &m.interval, irq::ADC))
-        .map(|m| m.index)
-        .collect();
-    let sample_count = set.len();
-    let mut buggy_ranks: Vec<usize> = if buggy.is_empty() {
-        Vec::new()
-    } else {
-        let report = Pipeline::default_ocsvm(nu)
-            .rank_set(set)
-            .map_err(|e| e.to_string())?;
-        buggy.iter().filter_map(|&b| report.rank_of(b)).collect()
+/// A trace count other than one, extraction and pipeline failures, as
+/// strings, matching the campaign job contract.
+pub(crate) fn mine_trigger(
+    seed: u64,
+    study: &Study,
+    traces: &[Trace],
+) -> Result<RunOutcome, String> {
+    let [trace] = traces else {
+        return Err(format!(
+            "trigger run stores one trace, found {}",
+            traces.len()
+        ));
     };
-    buggy_ranks.sort_unstable();
-    Ok(RunOutcome {
-        seed,
-        samples: sample_count,
-        symptoms: buggy.len(),
-        buggy_ranks,
-        verdict: if buggy.is_empty() {
-            Verdict::Clean
-        } else {
-            Verdict::Triggered
-        },
-        trace_digest: format!("{trace_digest:016x}"),
-        wall_time_ms: 0,
-    })
+    let (set, buggy) = study.harvest(traces).map_err(|e| e.to_string())?;
+    let sample_count = set.len();
+    let report = if buggy.is_empty() {
+        Report {
+            detector: String::new(),
+            ranking: Vec::new(),
+        }
+    } else {
+        study
+            .detector
+            .pipeline()
+            .rank_set(set)
+            .map_err(|e| e.to_string())?
+    };
+    Ok(CaseResult::new(report, sample_count, buggy, trace.digest()).to_outcome(seed))
 }
 
 // ---------------------------------------------------------------------
@@ -909,64 +1007,43 @@ impl Default for Case1MultiConfig {
     }
 }
 
-/// Runs the multi-node single-hop variant of case study I: `sensors`
-/// nodes run the buggy Oscilloscope program and broadcast packets a sink
-/// overhears; ADC intervals are pooled across the sensing nodes.
-///
-/// # Errors
-///
-/// Propagates simulation, extraction and pipeline errors.
-pub fn run_case1_multinode(config: &Case1MultiConfig) -> Result<CaseResult, Box<dyn Error>> {
-    let params = oscilloscope::OscilloscopeParams::with_period_ms(config.period_ms);
-    let sensor_program = oscilloscope::buggy(&params)?;
-    let sink_program = crate::forwarder::sink_program()?;
-    let node_count = config.sensors + 1;
-    let topo = netsim::Topology::star(node_count, netsim::LinkConfig::default())?;
-    let mut sim = netsim::NetSim::new(topo, config.seed);
-    sim.add_node(
-        sink_program.clone(),
-        NodeConfig {
-            node_id: 0,
-            seed: config.seed,
-            ..NodeConfig::default()
-        },
-    )?;
-    for id in 1..node_count {
-        sim.add_node(
-            sensor_program.clone(),
-            NodeConfig {
-                node_id: id,
-                seed: config.seed.wrapping_add(id as u64 * 101),
-                ..NodeConfig::default()
-            },
-        )?;
-    }
-    let mut recorders: Vec<Recorder> = (0..node_count)
-        .map(|id| {
-            if id == 0 {
-                Recorder::new(sink_program.len())
-            } else {
-                Recorder::new(sensor_program.len())
-            }
+impl Case1MultiConfig {
+    /// The multi-node single-hop variant of case study I: `sensors`
+    /// nodes run the buggy Oscilloscope program and broadcast packets a
+    /// sink (node 0) overhears; node `id` is seeded `seed + 101·id`, and
+    /// the ADC intervals are pooled across the sensors as `[node, seq]`.
+    ///
+    /// # Errors
+    ///
+    /// Assembly and topology errors.
+    pub fn study(&self) -> Result<Study, Box<dyn Error>> {
+        let params = oscilloscope::OscilloscopeParams::with_period_ms(self.period_ms);
+        let sensor = oscilloscope::buggy(&params)?;
+        let sink = forwarder::sink_program()?;
+        let node_count = self.sensors + 1;
+        let nodes = (0..node_count)
+            .map(|id| {
+                let config = NodeConfig {
+                    node_id: id,
+                    seed: self.seed.wrapping_add(id as u64 * 101),
+                    ..NodeConfig::default()
+                };
+                let program = if id == 0 { &sink } else { &sensor };
+                (program.clone(), config)
+            })
+            .collect();
+        Ok(Study {
+            name: "case I multi-node",
+            nodes,
+            network: Some((
+                Topology::star(node_count, LinkConfig::default())?,
+                self.seed,
+            )),
+            cycles: self.run_seconds * CYCLES_PER_SECOND,
+            irq: irq::ADC,
+            pool: Pool::Nodes((1..node_count).collect()),
+            symptom: Symptom::NestedInt,
+            detector: self.detector,
         })
-        .collect();
-    sim.run(config.run_seconds * CYCLES_PER_SECOND, &mut recorders)?;
-
-    let mut all_samples = SampleSet::empty();
-    let mut buggy = Vec::new();
-    let traces: Vec<Trace> = recorders.into_iter().map(Recorder::into_trace).collect();
-    let trace_digest = chain_digest(traces.iter().map(Trace::digest));
-    for (id, trace) in traces.iter().enumerate().skip(1) {
-        let node = id as u16;
-        let set = harvest_set(trace, irq::ADC, |seq, _| SampleIndex::NodeSeq { node, seq })?;
-        for m in &set.meta {
-            if contains_nested_int(trace, &m.interval, irq::ADC) {
-                buggy.push(m.index);
-            }
-        }
-        all_samples.append(&set);
     }
-    let sample_count = all_samples.len();
-    let report = config.detector.pipeline().rank_set(all_samples)?;
-    Ok(CaseResult::new(report, sample_count, buggy, trace_digest))
 }

@@ -9,9 +9,10 @@
 //! here, where both front ends link it:
 //!
 //! * [`Mode`] — a campaign mode with its parameters fully resolved (the
-//!   trigger experiment or one of the three case studies), able to build
-//!   the per-seed emulate-and-mine job, the store re-mining stage, the
-//!   program digest and the serialized `config` block;
+//!   trigger experiment or one of the three case studies). It builds one
+//!   [`Study`] per seed, and from it the per-seed emulate-and-mine job,
+//!   the store re-mining stage and the program digest, plus the
+//!   serialized `config` block;
 //! * [`Mode::from_campaign`] — resolves the identical mode back out of a
 //!   stored [`CampaignManifest`], so a corpus re-mines with the
 //!   parameters it was recorded under;
@@ -22,11 +23,8 @@
 //!   resolve mode → sweep the store → fold stored errors → render the
 //!   document), returning the exact bytes every front end must emit.
 
-use crate::experiments::{
-    mine_case1, mine_case2, mine_case3, mine_trigger_trace, run_case1_traced, run_case2_traced,
-    run_case3_traced, trigger_job,
-};
-use crate::{ctp, forwarder, oscilloscope, Case1Config, Case2Config, Case3Config, CaseResult};
+use crate::experiments::{mine_trigger, trigger_study, Study};
+use crate::{ctp, forwarder, oscilloscope, Case1Config, Case2Config, Case3Config};
 use sentomist_core::campaign::{CampaignResult, FailureKind, RunError, RunOutcome};
 use sentomist_core::supervise::{RunContext, RunFailure};
 use sentomist_core::{mine_store, QuarantinedRun};
@@ -229,139 +227,108 @@ impl Mode {
         }
     }
 
-    /// The per-seed emulate-and-mine job, which also hands back the
-    /// run's recorded traces — the one job every sweep, replay and daemon
-    /// `Emulate` request runs. It takes a [`RunContext`] so the watchdog
-    /// can cancel it and (trigger mode) a cycle budget can cap emulation.
-    /// Trigger mode is fully cooperative; the case studies run to
-    /// completion and report their errors as retryable.
-    ///
-    /// # Errors
-    ///
-    /// Program assembly failures while building the job.
-    pub fn supervised_traced_job(self) -> Result<SupervisedTracedJob, JobError> {
+    /// The mode's [`Study`] under `seed`: the trigger experiment or the
+    /// case study's default configuration with its seed replaced.
+    fn study(self, seed: u64) -> Result<Study, JobError> {
         Ok(match self {
             Mode::Trigger {
                 period,
                 seconds,
                 nu,
-            } => Box::new(trigger_job(period, seconds, nu)?),
-            Mode::Case1 => case_job(|seed| {
-                run_case1_traced(&Case1Config {
-                    seed,
-                    ..Case1Config::default()
-                })
-            }),
-            Mode::Case2 => case_job(|seed| {
-                run_case2_traced(&Case2Config {
-                    seed,
-                    ..Case2Config::default()
-                })
-            }),
-            Mode::Case3 => case_job(|seed| {
-                run_case3_traced(&Case3Config {
-                    seed,
-                    ..Case3Config::default()
-                })
-            }),
+            } => trigger_study(period, seconds, nu, seed)?,
+            Mode::Case1 => Case1Config {
+                seed,
+                ..Case1Config::default()
+            }
+            .study()?,
+            Mode::Case2 => Case2Config {
+                seed,
+                ..Case2Config::default()
+            }
+            .study()?,
+            Mode::Case3 => Case3Config {
+                seed,
+                ..Case3Config::default()
+            }
+            .study()?,
         })
+    }
+
+    /// The per-seed emulate-and-mine job, which also hands back the
+    /// run's recorded traces — the one job every sweep, replay and daemon
+    /// `Emulate` request runs. It takes a [`RunContext`] so the watchdog
+    /// can cancel it and (trigger mode) a cycle budget can cap emulation.
+    ///
+    /// Trigger mode assembles its program once, up front, and the closure
+    /// only shares that immutable program, so the supervised pool can
+    /// drive it from any number of worker threads. It is fully
+    /// cooperative (see [`Study::emulate`]). Machine faults and mining
+    /// failures are deterministic for a given seed, so they surface as
+    /// [`RunFailure::Fatal`] (retrying cannot help); budget and
+    /// cancellation stops are [`RunFailure::TimedOut`].
+    ///
+    /// The case studies build their study per seed, run to completion
+    /// and report their errors as retryable.
+    ///
+    /// # Errors
+    ///
+    /// Program assembly failures while building the job.
+    pub fn supervised_traced_job(self) -> Result<SupervisedTracedJob, JobError> {
+        if let Mode::Trigger { .. } = self {
+            let study = self.study(0)?;
+            return Ok(Box::new(move |ctx: &RunContext| {
+                // The trigger study's one node runs under the run's seed.
+                let mut run = study.clone();
+                run.nodes[0].1.seed = ctx.seed();
+                let traces = run.emulate(Some(ctx))?.traces;
+                let outcome = mine_trigger(ctx.seed(), &run, &traces).map_err(RunFailure::Fatal)?;
+                Ok((outcome, traces))
+            }));
+        }
+        Ok(Box::new(move |ctx: &RunContext| {
+            let seed = ctx.seed();
+            let (result, traces) = self
+                .study(seed)
+                .map_err(|e| RunFailure::Transient(e.0))?
+                .run()
+                .map_err(|e| RunFailure::Transient(e.to_string()))?;
+            Ok((result.to_outcome(seed), traces))
+        }))
     }
 
     /// The mining stage alone, applied to a stored run's decoded traces —
     /// the same code path [`Mode::supervised_traced_job`] runs after
-    /// emulating.
-    pub fn miner(self) -> StoreMiner {
-        match self {
-            Mode::Trigger { nu, .. } => Box::new(move |seed, traces: &[Trace]| {
-                let trace = match traces {
-                    [t] => t,
-                    _ => {
-                        return Err(format!(
-                            "trigger run stores one trace, found {}",
-                            traces.len()
-                        ))
-                    }
-                };
-                mine_trigger_trace(seed, trace, nu)
-            }),
-            Mode::Case1 => Box::new(|seed, traces| {
-                mine_case1(&Case1Config::default(), traces)
+    /// emulating. The mode's study is built once, for every run of the
+    /// corpus.
+    ///
+    /// # Errors
+    ///
+    /// Program assembly failures while building the study.
+    pub fn miner(self) -> Result<StoreMiner, JobError> {
+        let study = self.study(0)?;
+        Ok(match self {
+            Mode::Trigger { .. } => {
+                Box::new(move |seed, traces: &[Trace]| mine_trigger(seed, &study, traces))
+            }
+            _ => Box::new(move |seed, traces: &[Trace]| {
+                study
+                    .mine(traces)
                     .map(|r| r.to_outcome(seed))
                     .map_err(|e| e.to_string())
             }),
-            Mode::Case2 => Box::new(|seed, traces| {
-                mine_case2(&Case2Config::default(), traces)
-                    .map(|r| r.to_outcome(seed))
-                    .map_err(|e| e.to_string())
-            }),
-            Mode::Case3 => Box::new(|seed, traces| {
-                mine_case3(&Case3Config::default(), traces)
-                    .map(|r| r.to_outcome(seed))
-                    .map_err(|e| e.to_string())
-            }),
-        }
+        })
     }
 
     /// FNV-1a digest over the disassembly of the program(s) this mode
-    /// executes, recorded in every run manifest as the program identity.
+    /// executes, recorded in every run manifest as the program identity
+    /// (see [`Study::program_digest`]).
     ///
     /// # Errors
     ///
     /// Program assembly failures.
     pub fn program_digest(self) -> Result<u64, JobError> {
-        fn one(p: &Program) -> u64 {
-            fnv64(tinyvm::disassemble(p).as_bytes())
-        }
-        fn chain(digests: impl IntoIterator<Item = u64>) -> u64 {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for d in digests {
-                h = (h ^ d).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        }
-        let asm = |e: tinyvm::asm::AsmError| JobError(e.to_string());
-        Ok(match self {
-            Mode::Trigger { period, .. } => one(&*oscilloscope::buggy(
-                &oscilloscope::OscilloscopeParams::with_period_ms(period),
-            )
-            .map_err(asm)?),
-            Mode::Case1 => {
-                let config = Case1Config::default();
-                let mut digests = Vec::new();
-                for &ms in &config.periods_ms {
-                    digests.push(one(&*oscilloscope::buggy(
-                        &oscilloscope::OscilloscopeParams::with_period_ms(ms),
-                    )
-                    .map_err(asm)?));
-                }
-                chain(digests)
-            }
-            Mode::Case2 => {
-                let config = Case2Config::default();
-                chain([
-                    one(&*forwarder::sink_program().map_err(asm)?),
-                    one(&*forwarder::relay_program_buggy().map_err(asm)?),
-                    one(&*forwarder::source_program(&config.params).map_err(asm)?),
-                ])
-            }
-            Mode::Case3 => one(&*ctp::buggy(&Case3Config::default().params).map_err(asm)?),
-        })
+        Ok(self.study(0)?.program_digest())
     }
-}
-
-/// A whole case study run under one seed (the default configuration
-/// with its seed replaced), returning the result and recorded traces.
-type CaseRun = fn(u64) -> Result<(CaseResult, Vec<Trace>), Box<dyn Error>>;
-
-/// Wraps a case-study run as a supervised job. The case studies run to
-/// completion and report their errors as retryable.
-fn case_job(run: CaseRun) -> SupervisedTracedJob {
-    Box::new(move |ctx: &RunContext| {
-        let seed = ctx.seed();
-        run(seed)
-            .map(|(result, traces)| (result.to_outcome(seed), traces))
-            .map_err(|e| RunFailure::Transient(e.to_string()))
-    })
 }
 
 /// Resolves a bundled case-study program by name — the shared resolver
@@ -548,7 +515,7 @@ pub fn mine_corpus(
         "base_seed".to_string(),
         Serialize::to_value(&campaign.base_seed),
     ));
-    let report = mine_store(store, options, mode.miner())?;
+    let report = mine_store(store, options, mode.miner()?)?;
     let mut result = report.result;
     // Runs that failed during the live campaign have no run directory;
     // fold their recorded errors back in (failure typing included) so

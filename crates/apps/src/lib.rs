@@ -13,9 +13,14 @@
 //!   collection protocol and a heartbeat protocol contend for one radio
 //!   chip (timer interrupt).
 //!
-//! Each module also ships a *fixed* variant of its application, and
-//! [`experiments`] drives the full Sentomist pipeline over each scenario
-//! with machine-checkable ground-truth oracles.
+//! Each module also ships a *fixed* variant of its application.
+//! [`experiments`] describes every experiment as one [`Study`] (the
+//! emulated nodes, their network, the mined interrupt, which traces are
+//! pooled and how they are labelled, a machine-checkable ground-truth
+//! oracle and the detector) and drives the full Sentomist pipeline over
+//! it with one emulator and one miner. [`jobs`] turns the campaign modes
+//! into per-seed studies, and [`mod@scenario`] does the same for the hunt's
+//! mutated scenarios.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,9 +33,7 @@ pub mod oscilloscope;
 pub mod scenario;
 
 pub use experiments::{
-    mine_case1, mine_case2, mine_case3, mine_trigger_trace, run_case1, run_case1_traced, run_case2,
-    run_case2_traced, run_case3, run_case3_traced, trigger_job, Case1Config, Case2Config,
-    Case3Config, CaseResult, DetectorKind,
+    trigger_job, Case1Config, Case2Config, Case3Config, CaseResult, DetectorKind, Emulation, Study,
 };
 pub use jobs::{
     bundled_program, bundled_slice_report, campaign_document, default_slice_seeds, fnv64,

@@ -12,27 +12,27 @@
 //! [`hunt_iteration`] is the full per-seed job the hunt campaign fans
 //! out: emulate the scenario, mine it, re-mine it, assemble
 //! [`Evidence`] and check the [invariant
-//! registry](sentomist_core::hunt). Granular pieces
+//! registry](sentomist_core::hunt). Each scenario runs as a
+//! [`Study`] built from its case's nodes, so emulation and
+//! harvesting are the case studies' own. Granular pieces
 //! ([`emulate_scenario`], [`mine_scenario`]) are public for callers that
 //! persist traces to a store between the steps.
 
 use crate::experiments::{
-    chain_digest, contains_nested_int, CaseResult, DetectorKind, CYCLES_PER_SECOND,
+    chain_digest, ctp_tree, forwarder_chain, oscilloscope_alone, CaseResult, DetectorKind, Pool,
+    Study,
 };
 use crate::{ctp, forwarder, oscilloscope};
-use netsim::{LinkConfig, NetSim, Topology};
+use netsim::LinkConfig;
 use sentomist_core::hunt::{check_invariants, Evidence, InvariantPolicy, IterationRecord};
 use sentomist_core::supervise::splitmix64;
 use sentomist_core::{
-    causal_chain, corroborate_with_chain, harvest_set, localize_set, CausalChain, SampleIndex,
-    SampleSet,
+    causal_chain, corroborate_with_chain, localize_set, CausalChain, SampleIndex,
 };
-use sentomist_trace::{Recorder, Trace};
+use sentomist_trace::Trace;
 use staticlint::lint;
 use std::sync::Arc;
 use tinyvm::devices::{AdcConfig, NodeConfig};
-use tinyvm::isa::irq;
-use tinyvm::node::Node;
 use tinyvm::Program;
 
 /// z-score threshold for localizing a flagged interval (the CLI's
@@ -313,6 +313,44 @@ pub fn scenario_program(s: &HuntScenario) -> Result<Arc<Program>, String> {
     program.map_err(|e| format!("assembling {} program: {e}", s.case.name()))
 }
 
+/// The scenario's [`Study`], running `program` (the scenario's
+/// [`scenario_program`]) as the program under test.
+fn scenario_study(s: &HuntScenario, program: Arc<Program>) -> Result<Study, String> {
+    let name = s.case.name();
+    let detector = DetectorKind::OcSvm { nu: s.nu };
+    let study = match &s.params {
+        ScenarioParams::Oscilloscope { adc, .. } => {
+            let config = NodeConfig {
+                seed: s.node_seed,
+                adc: *adc,
+                ..NodeConfig::default()
+            };
+            Ok(oscilloscope_alone(
+                name,
+                vec![(program, config)],
+                s.run_seconds,
+                Pool::Node(0),
+                detector,
+            ))
+        }
+        ScenarioParams::Forwarder {
+            params,
+            downlink,
+            uplink,
+        } => forwarder_chain(
+            name,
+            program,
+            params,
+            [*downlink, *uplink],
+            s.node_seed,
+            s.run_seconds,
+            detector,
+        ),
+        ScenarioParams::Ctp { .. } => ctp_tree(name, program, s.node_seed, s.run_seconds, detector),
+    };
+    study.map_err(|e| format!("{name} scenario: {e}"))
+}
+
 /// Emulates one scenario, returning the recorded traces in node-id
 /// order (case I records a single node).
 ///
@@ -320,73 +358,10 @@ pub fn scenario_program(s: &HuntScenario) -> Result<Arc<Program>, String> {
 ///
 /// Assembly and emulation faults, rendered as text.
 pub fn emulate_scenario(s: &HuntScenario) -> Result<Vec<Trace>, String> {
-    let cycles = s.run_seconds * CYCLES_PER_SECOND;
-    match &s.params {
-        ScenarioParams::Oscilloscope { adc, .. } => {
-            let program = scenario_program(s)?;
-            let mut node = Node::new(
-                program.clone(),
-                NodeConfig {
-                    seed: s.node_seed,
-                    adc: *adc,
-                    ..NodeConfig::default()
-                },
-            );
-            let mut recorder = Recorder::new(program.len());
-            node.run(cycles, &mut recorder)
-                .map_err(|e| format!("oscilloscope emulation: {e}"))?;
-            Ok(vec![recorder.into_trace()])
-        }
-        ScenarioParams::Forwarder {
-            params,
-            downlink,
-            uplink,
-        } => {
-            let relay = scenario_program(s)?;
-            let topo = Topology::chain_with(&[*downlink, *uplink])
-                .map_err(|e| format!("forwarder topology: {e}"))?;
-            let mut sim = NetSim::new(topo, s.node_seed);
-            let fail = |e| format!("forwarder simulation: {e}");
-            sim.add_node(
-                forwarder::sink_program().map_err(|e| fail(format!("{e}")))?,
-                forwarder::node_config(forwarder::nodes::SINK, s.node_seed),
-            )
-            .map_err(|e| fail(format!("{e}")))?;
-            sim.add_node(
-                relay.clone(),
-                forwarder::node_config(forwarder::nodes::RELAY, s.node_seed + 1),
-            )
-            .map_err(|e| fail(format!("{e}")))?;
-            sim.add_node(
-                forwarder::source_program(params).map_err(|e| fail(format!("{e}")))?,
-                forwarder::node_config(forwarder::nodes::SOURCE, s.node_seed + 2),
-            )
-            .map_err(|e| fail(format!("{e}")))?;
-            let mut recorders = vec![
-                Recorder::new(sim.node(0).program().len()),
-                Recorder::new(relay.len()),
-                Recorder::new(sim.node(2).program().len()),
-            ];
-            sim.run(cycles, &mut recorders)
-                .map_err(|e| fail(format!("{e}")))?;
-            Ok(recorders.into_iter().map(Recorder::into_trace).collect())
-        }
-        ScenarioParams::Ctp { .. } => {
-            let program = scenario_program(s)?;
-            let topo = ctp::topology().map_err(|e| format!("ctp topology: {e}"))?;
-            let mut sim = NetSim::new(topo, s.node_seed);
-            for id in 0..ctp::NODE_COUNT {
-                sim.add_node(program.clone(), ctp::node_config(id, s.node_seed))
-                    .map_err(|e| format!("ctp node {id}: {e}"))?;
-            }
-            let mut recorders: Vec<Recorder> = (0..ctp::NODE_COUNT)
-                .map(|_| Recorder::new(program.len()))
-                .collect();
-            sim.run(cycles, &mut recorders)
-                .map_err(|e| format!("ctp simulation: {e}"))?;
-            Ok(recorders.into_iter().map(Recorder::into_trace).collect())
-        }
-    }
+    let emulation = scenario_study(s, scenario_program(s)?)?
+        .emulate(None)
+        .map_err(|failure| format!("{} scenario: {}", s.case.name(), failure.message()))?;
+    Ok(emulation.traces)
 }
 
 /// One mined scenario run: the case result plus the extra evidence the
@@ -435,79 +410,10 @@ fn chain_covers_routine(chain: &CausalChain, program: &Program, routine: &str) -
 /// Wrong trace count, extraction and pipeline errors, as text.
 pub fn mine_scenario(s: &HuntScenario, traces: &[Trace]) -> Result<MinedScenario, String> {
     let program = scenario_program(s)?;
-    let (set, buggy) = match &s.params {
-        ScenarioParams::Oscilloscope { .. } => {
-            let [trace] = traces else {
-                return Err(format!(
-                    "oscilloscope scenario expects 1 trace, got {}",
-                    traces.len()
-                ));
-            };
-            let set = harvest_set(trace, irq::ADC, |seq, _| SampleIndex::Seq(seq))
-                .map_err(|e| format!("harvesting ADC intervals: {e}"))?;
-            let buggy: Vec<SampleIndex> = set
-                .meta
-                .iter()
-                .filter(|m| contains_nested_int(trace, &m.interval, irq::ADC))
-                .map(|m| m.index)
-                .collect();
-            (set, buggy)
-        }
-        ScenarioParams::Forwarder { .. } => {
-            if traces.len() != 3 {
-                return Err(format!(
-                    "forwarder scenario expects 3 traces, got {}",
-                    traces.len()
-                ));
-            }
-            let drop_pc = program.label("fwd_drop");
-            let set = harvest_set(&traces[1], irq::RX, |seq, _| SampleIndex::Seq(seq))
-                .map_err(|e| format!("harvesting relay RX intervals: {e}"))?;
-            let buggy: Vec<SampleIndex> = match drop_pc {
-                Some(pc) => set
-                    .meta
-                    .iter()
-                    .zip(set.features.rows_iter())
-                    .filter(|(_, row)| row[pc as usize] > 0.0)
-                    .map(|(m, _)| m.index)
-                    .collect(),
-                None => Vec::new(), // the fixed relay has no drop branch
-            };
-            (set, buggy)
-        }
-        ScenarioParams::Ctp { .. } => {
-            if traces.len() != ctp::NODE_COUNT as usize {
-                return Err(format!(
-                    "ctp scenario expects {} traces, got {}",
-                    ctp::NODE_COUNT,
-                    traces.len()
-                ));
-            }
-            let fail_pc = program
-                .label("ctp_fail")
-                .ok_or("ctp program lacks the ctp_fail label")? as usize;
-            let mut all = SampleSet::empty();
-            let mut buggy = Vec::new();
-            for (id, trace) in traces.iter().enumerate() {
-                let node = id as u16;
-                if !ctp::SOURCES.contains(&node) {
-                    continue;
-                }
-                let set = harvest_set(trace, irq::TIMER0, |seq, _| SampleIndex::NodeSeq {
-                    node,
-                    seq,
-                })
-                .map_err(|e| format!("harvesting node {node} report intervals: {e}"))?;
-                for (m, row) in set.meta.iter().zip(set.features.rows_iter()) {
-                    if row[fail_pc] > 0.0 {
-                        buggy.push(m.index);
-                    }
-                }
-                all.append(&set);
-            }
-            (all, buggy)
-        }
-    };
+    let study = scenario_study(s, program.clone())?;
+    let (set, buggy) = study
+        .harvest(traces)
+        .map_err(|e| format!("{} scenario: {e}", s.case.name()))?;
     // The repaired variants make the oracle events harmless by
     // construction (no pollution, failure handled), so a fixed run has
     // no ground-truth symptom intervals — mirroring case II, whose fixed
@@ -555,14 +461,14 @@ pub fn mine_scenario(s: &HuntScenario, traces: &[Trace]) -> Result<MinedScenario
             // Causal reconstruction: slice backward from the deviating
             // pcs and intersect with the flagged interval's execution,
             // on the trace of the node that produced the sample.
-            let trace = match (&s.params, flagged_index) {
-                (ScenarioParams::Oscilloscope { .. }, _) => &traces[0],
-                (ScenarioParams::Forwarder { .. }, _) => &traces[1],
-                (ScenarioParams::Ctp { .. }, SampleIndex::NodeSeq { node, .. }) => traces
-                    .get(node as usize)
-                    .ok_or("flagged sample names a node without a trace")?,
-                (ScenarioParams::Ctp { .. }, _) => &traces[0],
+            let node = match (&study.pool, flagged_index) {
+                (Pool::Node(node), _) => *node,
+                (_, SampleIndex::NodeSeq { node, .. }) => node,
+                _ => 0,
             };
+            let trace = traces
+                .get(usize::from(node))
+                .ok_or("flagged sample names a node without a trace")?;
             let interval = set.meta[flagged_row].interval;
             let seeds: Vec<u16> = hits.iter().map(|h| h.pc).collect();
             let chain = causal_chain(&program, trace, &interval, &seeds, &lint_report)

@@ -4,12 +4,43 @@
 //! fixed applications.
 
 use sentomist_apps::{
-    run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config, DetectorKind,
+    oscilloscope, Case1Config, Case2Config, Case3Config, CaseResult, DetectorKind, Study,
 };
+
+fn run(study: Study) -> CaseResult {
+    study.run().unwrap().0
+}
+
+/// Emulates and mines case study I, returning the result and the number
+/// of polluted packets in the UART logs of all its runs.
+fn case1_with_polluted_packets(config: &Case1Config) -> (CaseResult, usize) {
+    let study = config.study().unwrap();
+    let emulation = study.emulate(None).unwrap();
+    let polluted = emulation
+        .uart
+        .iter()
+        .map(|log| {
+            oscilloscope::parse_uart(log)
+                .iter()
+                .filter(|p| p.polluted())
+                .count()
+        })
+        .sum();
+    (study.mine(&emulation.traces).unwrap(), polluted)
+}
 
 #[test]
 fn case1_ranks_data_pollution_on_top() {
-    let result = run_case1(&Case1Config::default()).unwrap();
+    let (result, polluted) = case1_with_polluted_packets(&Case1Config::default());
+    // The two independent oracles agree: every polluted packet stems
+    // from a nested-interrupt interval. (The trace oracle can flag one
+    // extra interval at the horizon whose packet never got sent.)
+    assert!(polluted > 0, "the race never polluted a packet");
+    assert!(
+        result.buggy.len() >= polluted,
+        "oracles disagree: {} intervals vs {polluted} polluted packets",
+        result.buggy.len()
+    );
     // Paper scale: 1099 samples over five runs; ours lands within a few %.
     assert!(
         (1000..1300).contains(&result.sample_count),
@@ -42,7 +73,7 @@ fn case1_ranks_data_pollution_on_top() {
 fn case1_pollution_skews_toward_small_sampling_periods() {
     // The paper's table is dominated by run 1 (D = 20 ms): shorter
     // sampling periods make the race window easier to hit.
-    let result = run_case1(&Case1Config::default()).unwrap();
+    let result = run(Case1Config::default().study().unwrap());
     let run1 = result
         .buggy
         .iter()
@@ -62,17 +93,17 @@ fn case1_fixed_app_has_no_symptoms() {
         periods_ms: vec![20, 40],
         ..Case1Config::default()
     };
-    let result = run_case1(&config).unwrap();
+    let (result, polluted) = case1_with_polluted_packets(&config);
     // The nested-interrupt pattern may still occur (interleaving is a
-    // property of the workload), but no packet is ever polluted — which
-    // the run_case1 oracle cross-check asserts internally. What matters
-    // here: the pipeline runs clean on a healthy app.
+    // property of the workload), but no packet is ever polluted, and the
+    // pipeline runs clean on a healthy app.
+    assert_eq!(polluted, 0);
     assert!(result.sample_count > 500);
 }
 
 #[test]
 fn case2_ranks_active_drops_exactly_on_top() {
-    let result = run_case2(&Case2Config::default()).unwrap();
+    let result = run(Case2Config::default().study().unwrap());
     // Paper scale: 195 arrivals, exactly 3 buggy, ranked top-3.
     assert!(
         (180..240).contains(&result.sample_count),
@@ -89,14 +120,14 @@ fn case2_fixed_relay_has_no_drop_symptoms() {
         use_fixed: true,
         ..Case2Config::default()
     };
-    let result = run_case2(&config).unwrap();
+    let result = run(config.study().unwrap());
     assert!(result.buggy.is_empty());
     assert!(result.sample_count > 150);
 }
 
 #[test]
 fn case3_ranks_the_ctp_hang_first() {
-    let result = run_case3(&Case3Config::default()).unwrap();
+    let result = run(Case3Config::default().study().unwrap());
     // Paper scale: 95 timer intervals over 4 sources; the single
     // unhandled-FAIL instance ranked 4th there, 1st here.
     assert!(
@@ -118,7 +149,7 @@ fn case3_fixed_variant_keeps_collecting() {
         use_fixed: true,
         ..Case3Config::default()
     };
-    let result = run_case3(&config).unwrap();
+    let result = run(config.study().unwrap());
     // The fixed node retries, so a FAIL is transient and its interval may
     // still be flagged — but the protocol never hangs; the dedicated app
     // tests verify liveness. Here: pipeline runs, same sample scale.
@@ -142,7 +173,7 @@ fn alternative_detectors_also_surface_case2_drops() {
             detector: kind,
             ..Case2Config::default()
         };
-        let result = run_case2(&config).unwrap();
+        let result = run(config.study().unwrap());
         assert_eq!(result.buggy.len(), 3, "{}", kind.name());
         assert!(
             result.worst_buggy_rank().unwrap() <= 10,
@@ -161,7 +192,7 @@ fn pca_masks_the_case2_drops() {
         detector: DetectorKind::Pca,
         ..Case2Config::default()
     };
-    let result = run_case2(&config).unwrap();
+    let result = run(config.study().unwrap());
     assert_eq!(result.buggy.len(), 3);
     assert!(
         result.buggy_ranks[0] > result.sample_count / 2,
@@ -172,8 +203,8 @@ fn pca_masks_the_case2_drops() {
 
 #[test]
 fn rankings_are_reproducible() {
-    let a = run_case2(&Case2Config::default()).unwrap();
-    let b = run_case2(&Case2Config::default()).unwrap();
+    let a = run(Case2Config::default().study().unwrap());
+    let b = run(Case2Config::default().study().unwrap());
     let ia: Vec<String> = a
         .report
         .ranking
@@ -214,7 +245,7 @@ fn tossim_style_timing_cannot_manifest_the_race() {
 fn case2_drops_hide_among_genuine_wireless_losses() {
     // The default chain has 4% per-link radio loss; the mined symptoms
     // must still be exactly the *active* drops, not the channel losses.
-    let result = run_case2(&Case2Config::default()).unwrap();
+    let result = run(Case2Config::default().study().unwrap());
     assert!(result.buggy.len() >= 2);
     assert!(result.all_buggy_in_top(result.buggy.len()));
 }
@@ -232,7 +263,7 @@ fn clustered_symptoms_defeat_density_detectors_a_known_limitation() {
         seed: 5,
         ..Case2Config::default()
     };
-    let ocsvm = run_case2(&base).unwrap();
+    let ocsvm = run(base.study().unwrap());
     assert!(
         ocsvm.buggy.len() >= 5,
         "seed 5 should produce a symptom cluster, got {}",
@@ -243,11 +274,12 @@ fn clustered_symptoms_defeat_density_detectors_a_known_limitation() {
         "expected the OC-SVM to absorb the cluster; ranks {:?}",
         ocsvm.buggy_ranks
     );
-    let maha = run_case2(&Case2Config {
+    let maha = run(Case2Config {
         detector: DetectorKind::Mahalanobis,
         ..base
-    })
-    .unwrap();
+    }
+    .study()
+    .unwrap());
     assert!(
         maha.all_buggy_in_top(maha.buggy.len() + 2),
         "Mahalanobis should still surface the cluster; ranks {:?}",
@@ -257,8 +289,8 @@ fn clustered_symptoms_defeat_density_detectors_a_known_limitation() {
 
 #[test]
 fn case1_multinode_pools_sensors_and_finds_the_race() {
-    use sentomist_apps::experiments::{run_case1_multinode, Case1MultiConfig};
-    let result = run_case1_multinode(&Case1MultiConfig::default()).unwrap();
+    use sentomist_apps::experiments::Case1MultiConfig;
+    let result = run(Case1MultiConfig::default().study().unwrap());
     // 4 sensors x ~500 intervals each.
     assert!(
         (1900..2100).contains(&result.sample_count),
@@ -296,12 +328,13 @@ fn ensemble_rescues_the_clustered_symptom_case() {
     // seed-5 symptom cluster (which masks the lone OC-SVM — see the
     // known-limitation test above) near the top, because its Mahalanobis
     // member still separates the cluster.
-    let result = run_case2(&Case2Config {
+    let result = run(Case2Config {
         seed: 5,
         detector: DetectorKind::Ensemble { nu: 0.05 },
         ..Case2Config::default()
-    })
-    .unwrap();
+    }
+    .study()
+    .unwrap());
     assert!(result.buggy.len() >= 5);
     assert!(
         result.worst_buggy_rank().unwrap() <= result.sample_count / 4,
@@ -325,11 +358,12 @@ fn case2_detection_is_robust_across_seeds() {
     // known limitation pinned separately.
     let mut evaluated = 0;
     for seed in 0..8u64 {
-        let result = run_case2(&Case2Config {
+        let result = run(Case2Config {
             seed,
             ..Case2Config::default()
-        })
-        .unwrap();
+        }
+        .study()
+        .unwrap());
         let drops = result.buggy.len();
         if drops == 0 || drops >= 5 {
             continue;

@@ -16,9 +16,8 @@
 //! scan-loop multi-node scheduler, before `NetSim::run` learned to skip
 //! idle steps; they hold because that change keeps the schedule exact.
 
-use sentomist_apps::{
-    run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config, CaseResult, Mode,
-};
+use sentomist_apps::experiments::{run_fidelity, Case1MultiConfig, FidelityOutcome};
+use sentomist_apps::{Case1Config, Case2Config, Case3Config, CaseResult, Mode, Study};
 use sentomist_core::supervise::{run_supervised, RunContext, SupervisorOptions};
 use sentomist_core::Report;
 use std::sync::Arc;
@@ -69,34 +68,137 @@ const GOLDEN_CASE3: &str = "e1540603f9e1ec23";
 const GOLDEN_CAMPAIGN: &str = "7b1a07b56e2d3d59";
 const GOLDEN_CASE2_CAMPAIGN: &str = "1dcb66bfe93a06bf";
 const GOLDEN_CASE3_CAMPAIGN: &str = "3cc042bde6721e02";
+const GOLDEN_CASE1_FIXED: &str = "6ccf3d989fdd567e";
+const GOLDEN_CASE2_FIXED: &str = "4ff7213b2caa9fd9";
+const GOLDEN_CASE3_FIXED: &str = "90d0293e239a8988";
+const GOLDEN_CASE1_MULTI: &str = "cfddb2f3bd4f3928";
+const GOLDEN_PROGRAM_TRIGGER: &str = "4617fadbd1e8dfde";
+const GOLDEN_PROGRAM_CASE1: &str = "d35ad24ac6b26d6f";
+const GOLDEN_PROGRAM_CASE2: &str = "f28a7bb5672aba02";
+const GOLDEN_PROGRAM_CASE3: &str = "0b66c7ac8d32e310";
+
+fn run(study: Study) -> CaseResult {
+    study.run().unwrap().0
+}
 
 fn check(name: &str, golden: &str, actual: &str) {
     if std::env::var("EQUIV_CAPTURE").is_ok() {
         println!("const GOLDEN_{}: &str = \"{actual}\";", name.to_uppercase());
         return;
     }
-    assert_eq!(
-        actual, golden,
-        "{name}: ranking diverged from the ragged seed implementation"
-    );
+    assert_eq!(actual, golden, "{name}: diverged from its pinned value");
 }
 
 #[test]
 fn case1_ranking_matches_seed_implementation() {
-    let result = run_case1(&Case1Config::default()).unwrap();
+    let result = run(Case1Config::default().study().unwrap());
     check("case1", GOLDEN_CASE1, &case_digest(&result));
 }
 
 #[test]
 fn case2_ranking_matches_seed_implementation() {
-    let result = run_case2(&Case2Config::default()).unwrap();
+    let result = run(Case2Config::default().study().unwrap());
     check("case2", GOLDEN_CASE2, &case_digest(&result));
 }
 
 #[test]
 fn case3_ranking_matches_seed_implementation() {
-    let result = run_case3(&Case3Config::default()).unwrap();
+    let result = run(Case3Config::default().study().unwrap());
     check("case3", GOLDEN_CASE3, &case_digest(&result));
+}
+
+// The fixed variants, the multi-node case-I study, the fidelity study
+// and the program digests were pinned before the per-case run and mine
+// code became one case-study table, so that refactor is checked against
+// the code it replaced. The fixed configs are the smaller ones
+// `case_studies.rs` uses.
+
+#[test]
+fn fixed_case1_ranking_matches_pinned_digest() {
+    let result = run(Case1Config {
+        use_fixed: true,
+        periods_ms: vec![20, 40],
+        ..Case1Config::default()
+    }
+    .study()
+    .unwrap());
+    check("case1_fixed", GOLDEN_CASE1_FIXED, &case_digest(&result));
+}
+
+#[test]
+fn fixed_case2_ranking_matches_pinned_digest() {
+    let result = run(Case2Config {
+        use_fixed: true,
+        ..Case2Config::default()
+    }
+    .study()
+    .unwrap());
+    check("case2_fixed", GOLDEN_CASE2_FIXED, &case_digest(&result));
+}
+
+#[test]
+fn fixed_case3_ranking_matches_pinned_digest() {
+    let result = run(Case3Config {
+        use_fixed: true,
+        ..Case3Config::default()
+    }
+    .study()
+    .unwrap());
+    check("case3_fixed", GOLDEN_CASE3_FIXED, &case_digest(&result));
+}
+
+#[test]
+fn case1_multinode_ranking_matches_pinned_digest() {
+    let result = run(Case1MultiConfig::default().study().unwrap());
+    check("case1_multi", GOLDEN_CASE1_MULTI, &case_digest(&result));
+}
+
+#[test]
+fn fidelity_outcomes_match_pinned_values() {
+    let accurate = run_fidelity(tinyvm::TimingModel::CycleAccurate, 20, 10, 0).unwrap();
+    let sequential = run_fidelity(tinyvm::TimingModel::ZeroCostEvents, 20, 10, 0).unwrap();
+    if std::env::var("EQUIV_CAPTURE").is_ok() {
+        println!("accurate: {accurate:?}\nsequential: {sequential:?}");
+        return;
+    }
+    assert_eq!(
+        accurate,
+        FidelityOutcome {
+            polluted_packets: 6,
+            symptom_intervals: 6,
+            intervals: 500,
+            any_preemption: true,
+        }
+    );
+    assert_eq!(
+        sequential,
+        FidelityOutcome {
+            polluted_packets: 0,
+            symptom_intervals: 0,
+            intervals: 500,
+            any_preemption: false,
+        }
+    );
+}
+
+#[test]
+fn program_digests_match_pinned_values() {
+    // Every run manifest records this digest, and the daemon keys its
+    // corpus fingerprint with it.
+    let trigger = Mode::Trigger {
+        period: 20,
+        seconds: 10,
+        nu: 0.05,
+    };
+    for (name, golden, mode) in [
+        ("program_trigger", GOLDEN_PROGRAM_TRIGGER, trigger),
+        ("program_case1", GOLDEN_PROGRAM_CASE1, Mode::Case1),
+        ("program_case2", GOLDEN_PROGRAM_CASE2, Mode::Case2),
+        ("program_case3", GOLDEN_PROGRAM_CASE3, Mode::Case3),
+    ] {
+        let digest = format!("{:016x}", mode.program_digest().unwrap());
+        check(name, golden, &digest);
+    }
 }
 
 #[test]

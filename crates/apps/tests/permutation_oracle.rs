@@ -23,9 +23,7 @@
 //! worst cases.
 
 use mlcore::{FeatureMatrix, OneClassSvm, Scaler};
-use sentomist_apps::{
-    ctp, run_case1_traced, run_case3_traced, Case1Config, Case3Config, DetectorKind,
-};
+use sentomist_apps::{ctp, Case1Config, Case3Config, DetectorKind};
 use sentomist_core::supervise::splitmix64;
 use sentomist_core::{harvest_set, Report, SampleIndex, SampleSet};
 use std::collections::HashMap;
@@ -140,7 +138,7 @@ fn check(label: &str, set: &SampleSet, detector: DetectorKind, expected: &Report
 #[test]
 fn case_one_ranking_is_permutation_invariant() {
     let config = Case1Config::default();
-    let (result, traces) = run_case1_traced(&config).unwrap();
+    let (result, traces) = config.study().unwrap().run().unwrap();
     let mut set = SampleSet::empty();
     for (r, trace) in traces.iter().enumerate() {
         let run = r as u32 + 1;
@@ -159,7 +157,7 @@ fn case_three_ranking_is_permutation_invariant() {
             seed,
             ..Case3Config::default()
         };
-        let (result, traces) = run_case3_traced(&config).unwrap();
+        let (result, traces) = config.study().unwrap().run().unwrap();
         let mut set = SampleSet::empty();
         for node in ctp::SOURCES {
             let trace = &traces[node as usize];

@@ -8,10 +8,7 @@
 //! reordered sample, or one corrupted counter on the disk round-trip
 //! changes the digest and fails the suite.
 
-use sentomist_apps::{
-    mine_case1, mine_case2, mine_case3, mine_trigger_trace, run_case1_traced, run_case2_traced,
-    run_case3_traced, trigger_job, Case1Config, Case2Config, Case3Config, CaseResult,
-};
+use sentomist_apps::{trigger_job, Case1Config, Case2Config, Case3Config, CaseResult, Mode};
 use sentomist_core::supervise::RunContext;
 use sentomist_core::{mine_store, MineOptions, Report};
 use sentomist_trace::Trace;
@@ -85,10 +82,11 @@ fn round_trip(tag: &str, seed: u64, traces: &[Trace]) -> Vec<Trace> {
 #[test]
 fn case1_mined_from_store_matches_live_golden() {
     let config = Case1Config::default();
-    let (live, traces) = run_case1_traced(&config).unwrap();
+    let study = config.study().unwrap();
+    let (live, traces) = study.run().unwrap();
     assert_eq!(case_digest(&live), GOLDEN_CASE1);
     let loaded = round_trip("case1", config.seed, &traces);
-    let stored = mine_case1(&config, &loaded).unwrap();
+    let stored = study.mine(&loaded).unwrap();
     assert_eq!(
         case_digest(&stored),
         GOLDEN_CASE1,
@@ -99,10 +97,11 @@ fn case1_mined_from_store_matches_live_golden() {
 #[test]
 fn case2_mined_from_store_matches_live_golden() {
     let config = Case2Config::default();
-    let (live, traces) = run_case2_traced(&config).unwrap();
+    let study = config.study().unwrap();
+    let (live, traces) = study.run().unwrap();
     assert_eq!(case_digest(&live), GOLDEN_CASE2);
     let loaded = round_trip("case2", config.seed, &traces);
-    let stored = mine_case2(&config, &loaded).unwrap();
+    let stored = study.mine(&loaded).unwrap();
     assert_eq!(
         case_digest(&stored),
         GOLDEN_CASE2,
@@ -113,10 +112,11 @@ fn case2_mined_from_store_matches_live_golden() {
 #[test]
 fn case3_mined_from_store_matches_live_golden() {
     let config = Case3Config::default();
-    let (live, traces) = run_case3_traced(&config).unwrap();
+    let study = config.study().unwrap();
+    let (live, traces) = study.run().unwrap();
     assert_eq!(case_digest(&live), GOLDEN_CASE3);
     let loaded = round_trip("case3", config.seed, &traces);
-    let stored = mine_case3(&config, &loaded).unwrap();
+    let stored = study.mine(&loaded).unwrap();
     assert_eq!(
         case_digest(&stored),
         GOLDEN_CASE3,
@@ -136,16 +136,16 @@ fn trigger_campaign_mined_from_store_matches_live_golden() {
         let (_, traces) = job(&RunContext::new(seed, 1, None)).unwrap();
         store.save_run(seed, "trigger", 0, &traces).unwrap();
     }
-    let result = mine_store(
-        &store,
-        &MineOptions::default(),
-        |seed, traces: &[Trace]| match traces {
-            [trace] => mine_trigger_trace(seed, trace, 0.05),
-            other => Err(format!("expected 1 trace, found {}", other.len())),
-        },
-    )
-    .unwrap()
-    .result;
+    let miner = Mode::Trigger {
+        period: 20,
+        seconds: 2,
+        nu: 0.05,
+    }
+    .miner()
+    .unwrap();
+    let result = mine_store(&store, &MineOptions::default(), miner)
+        .unwrap()
+        .result;
     assert!(
         result.errors.is_empty(),
         "store mining errored: {:?}",

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release -p sentomist-bench --bin case_study_3`
 //! Optional arguments: `[threads] [seeds]` (defaults 1 and 8).
 
-use sentomist_apps::{run_case3, Case3Config, Mode};
+use sentomist_apps::{Case3Config, Mode};
 use sentomist_core::supervise::{run_supervised, SupervisorOptions};
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
     let n_seeds: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
 
-    let result = run_case3(&Case3Config::default())?;
+    let result = Case3Config::default().study()?.run()?.0;
     print!(
         "{}",
         sentomist_bench::render_case(

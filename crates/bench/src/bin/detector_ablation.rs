@@ -4,10 +4,7 @@
 //!
 //! Run with: `cargo run --release -p sentomist-bench --bin detector_ablation`
 
-use sentomist_apps::{
-    run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config, CaseResult,
-    DetectorKind,
-};
+use sentomist_apps::{Case1Config, Case2Config, Case3Config, CaseResult, DetectorKind};
 use std::time::Instant;
 
 fn report(case: &str, kind: DetectorKind, result: &CaseResult, secs: f64) {
@@ -30,26 +27,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for kind in DetectorKind::all(0.05) {
         let t = Instant::now();
-        let r = run_case1(&Case1Config {
+        let r = Case1Config {
             detector: kind,
             ..Case1Config::default()
-        })?;
+        }
+        .study()?
+        .run()?
+        .0;
         report("case-1", kind, &r, t.elapsed().as_secs_f64());
     }
     for kind in DetectorKind::all(0.05) {
         let t = Instant::now();
-        let r = run_case2(&Case2Config {
+        let r = Case2Config {
             detector: kind,
             ..Case2Config::default()
-        })?;
+        }
+        .study()?
+        .run()?
+        .0;
         report("case-2", kind, &r, t.elapsed().as_secs_f64());
     }
     for kind in DetectorKind::all(0.1) {
         let t = Instant::now();
-        let r = run_case3(&Case3Config {
+        let r = Case3Config {
             detector: kind,
             ..Case3Config::default()
-        })?;
+        }
+        .study()?
+        .run()?
+        .0;
         report("case-3", kind, &r, t.elapsed().as_secs_f64());
     }
     println!(

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release -p sentomist-bench --bin inspection_effort`
 
 use sentomist_apps::experiments::effort_summary;
-use sentomist_apps::{run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config};
+use sentomist_apps::{Case1Config, Case2Config, Case3Config};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Inspection effort: Sentomist ranking vs brute force ===\n");
@@ -24,9 +24,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "AP"
     );
     let rows: Vec<(&str, sentomist_apps::CaseResult)> = vec![
-        ("case-1", run_case1(&Case1Config::default())?),
-        ("case-2", run_case2(&Case2Config::default())?),
-        ("case-3", run_case3(&Case3Config::default())?),
+        ("case-1", Case1Config::default().study()?.run()?.0),
+        ("case-2", Case2Config::default().study()?.run()?.0),
+        ("case-3", Case3Config::default().study()?.run()?.0),
     ];
     for (name, result) in &rows {
         let e = effort_summary(result);

@@ -126,11 +126,11 @@ pub fn render_campaign(title: &str, result: &CampaignResult, replay_hint: &str) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sentomist_apps::{run_case2, Case2Config};
+    use sentomist_apps::Case2Config;
 
     #[test]
     fn render_includes_table_and_verdict() {
-        let result = run_case2(&Case2Config::default()).unwrap();
+        let result = Case2Config::default().study().unwrap().run().unwrap().0;
         let s = render_case("Case study II", 195, "1, 2, 3", &result);
         assert!(s.contains("Instance Index"));
         assert!(s.contains("REPRODUCED"));

@@ -184,15 +184,6 @@ pub struct Evidence {
 }
 
 impl Evidence {
-    /// Fraction of samples scoring negative (0 for an empty run).
-    pub fn negative_fraction(&self) -> f64 {
-        if self.outcome.samples == 0 {
-            0.0
-        } else {
-            self.negative_scores as f64 / self.outcome.samples as f64
-        }
-    }
-
     /// Whether the run's symptoms are rare enough for outlier mining to
     /// be answerable for them: an OC-SVM with parameter ν can only
     /// carve out about `ν · samples` outliers, so once symptoms exceed

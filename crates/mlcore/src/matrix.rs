@@ -233,11 +233,6 @@ impl FeatureMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat backing buffer.
-    pub fn into_flat(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Copies the matrix back out as ragged rows (test/debug aid; the
     /// inverse of [`FeatureMatrix::from_rows`]).
     pub fn to_rows(&self) -> Vec<Vec<f64>> {

@@ -217,16 +217,6 @@ impl NetSim {
         })
     }
 
-    /// Mutable access to the node with id `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range; use [`NetSim::try_node_mut`] for a
-    /// fallible lookup.
-    pub fn node_mut(&mut self, id: u16) -> &mut Node {
-        &mut self.nodes[id as usize]
-    }
-
     /// Mutable access to the node with id `id`, or
     /// [`SimError::UnknownNode`].
     ///

@@ -106,11 +106,6 @@ impl ContextMap {
         ContextMap { contexts, reach }
     }
 
-    /// Indices of contexts in which block `b` is reachable.
-    pub fn owners_of(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.contexts.len()).filter(move |&c| self.reach[c][b])
-    }
-
     /// Whether block `b` is reachable from any context.
     pub fn reachable_anywhere(&self, b: usize) -> bool {
         self.reach.iter().any(|r| r[b])

@@ -93,11 +93,6 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// Warnings of one category.
-    pub fn of_kind(&self, kind: WarningKind) -> impl Iterator<Item = &Warning> {
-        self.warnings.iter().filter(move |w| w.kind == kind)
-    }
-
     /// Renders a fixed-width text table of the findings.
     pub fn table(&self) -> String {
         use std::fmt::Write as _;

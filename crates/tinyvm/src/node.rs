@@ -14,7 +14,7 @@
 //! instruction-count segments to a [`TraceSink`], and keeps the
 //! ground-truth interval record used to validate trace inference.
 
-use crate::cpu::{Bus, Cpu, CpuEvent, INT_DISPATCH_CYCLES};
+use crate::cpu::{Cpu, CpuEvent, INT_DISPATCH_CYCLES};
 use crate::devices::{Devices, NodeConfig, OutgoingPacket, Packet, TimingModel};
 use crate::error::VmError;
 use crate::ground_truth::{GtInterval, GtTracker, InstanceId};
@@ -321,16 +321,6 @@ impl Node {
         let result = self.advance(limit, sink);
         self.finish(sink);
         result
-    }
-}
-
-/// Read-only bus view used nowhere at runtime but handy in diagnostics.
-impl Node {
-    /// Reads a device port out-of-band (does not consume cycles). Intended
-    /// for tests and oracles; uses the same semantics as the `in`
-    /// instruction and may mutate device-side read effects (e.g. RX pops).
-    pub fn peek_port(&mut self, p: u8) -> Result<u16, VmError> {
-        self.devices.port_in(p, 0, self.cycle)
     }
 }
 

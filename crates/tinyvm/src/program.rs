@@ -63,14 +63,6 @@ impl Program {
         self.labels.get(name).copied()
     }
 
-    /// Finds the task id of a task declared with `.task`, by label name.
-    pub fn task_by_name(&self, name: &str) -> Option<crate::isa::TaskId> {
-        self.tasks
-            .iter()
-            .position(|t| t.name == name)
-            .map(|i| crate::isa::TaskId(i as u16))
-    }
-
     /// Returns the code label that *starts* at instruction `pc`, if any.
     pub fn label_at(&self, pc: u16) -> Option<&str> {
         self.labels

@@ -201,12 +201,6 @@ impl<W: Write> TraceWriter<W> {
             stream_digest: self.digest,
         })
     }
-
-    /// The first error swallowed by the infallible [`TraceSink`] facade,
-    /// if any (also returned by [`TraceWriter::finish`]).
-    pub fn deferred_error(&self) -> Option<&StoreError> {
-        self.deferred.as_ref()
-    }
 }
 
 /// The [`TraceSink`] facade: errors are deferred to

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example data_pollution`
 
-use sentomist::apps::{oscilloscope, run_case1, Case1Config};
+use sentomist::apps::{oscilloscope, Case1Config};
 use sentomist::core::{harvest_set, localize_set, Pipeline, SampleIndex};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Testing runs: D = {:?} ms, {} s each, one-class SVM\n",
         config.periods_ms, config.run_seconds
     );
-    let result = run_case1(&config)?;
+    let (result, traces) = config.study()?.run()?;
 
     println!(
         "Collected {} ADC event-handling intervals (paper: 1099).",
@@ -36,21 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Bug localization (the paper's future-work extension) -----------
-    // Re-run the first testing run and ask which instructions make the
-    // top outlier deviate: the doubled readDone body shows up on top.
+    // Rank the first testing run on its own and ask which instructions
+    // make its top outlier deviate: the doubled readDone body shows up on
+    // top.
     let params = oscilloscope::OscilloscopeParams::with_period_ms(config.periods_ms[0]);
     let program = oscilloscope::buggy(&params)?;
-    let mut node = sentomist::tinyvm::node::Node::new(
-        program.clone(),
-        sentomist::tinyvm::devices::NodeConfig {
-            seed: config.seed,
-            ..Default::default()
-        },
-    );
-    let mut rec = sentomist::trace::Recorder::new(program.len());
-    node.run(10_000_000, &mut rec)?;
-    let trace = rec.into_trace();
-    let samples = harvest_set(&trace, sentomist::tinyvm::isa::irq::ADC, |s, _| {
+    let samples = harvest_set(&traces[0], sentomist::tinyvm::isa::irq::ADC, |s, _| {
         SampleIndex::Seq(s)
     })?;
     let report = Pipeline::default_ocsvm(0.05).rank_set(samples.clone())?;

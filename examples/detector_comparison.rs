@@ -5,10 +5,7 @@
 //!
 //! Run with: `cargo run --release --example detector_comparison`
 
-use sentomist::apps::{
-    run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config, CaseResult,
-    DetectorKind,
-};
+use sentomist::apps::{Case1Config, Case2Config, Case3Config, CaseResult, DetectorKind};
 
 fn row(case: &str, kind: DetectorKind, result: &CaseResult) {
     println!(
@@ -27,24 +24,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "case", "detector", "samples", "buggy"
     );
     for kind in DetectorKind::all(0.05) {
-        let result = run_case1(&Case1Config {
+        let result = Case1Config {
             detector: kind,
             ..Case1Config::default()
-        })?;
+        }
+        .study()?
+        .run()?
+        .0;
         row("case-1", kind, &result);
     }
     for kind in DetectorKind::all(0.05) {
-        let result = run_case2(&Case2Config {
+        let result = Case2Config {
             detector: kind,
             ..Case2Config::default()
-        })?;
+        }
+        .study()?
+        .run()?
+        .0;
         row("case-2", kind, &result);
     }
     for kind in DetectorKind::all(0.1) {
-        let result = run_case3(&Case3Config {
+        let result = Case3Config {
             detector: kind,
             ..Case3Config::default()
-        })?;
+        }
+        .study()?
+        .run()?
+        .0;
         row("case-3", kind, &result);
     }
     println!(

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example multihop_forwarding`
 
-use sentomist::apps::{run_case2, Case2Config};
+use sentomist::apps::Case2Config;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = Case2Config::default();
@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "3-node chain (source -> relay -> sink), {} s, randomized gaps\n",
         config.run_seconds
     );
-    let result = run_case2(&config)?;
+    let result = config.study()?.run()?.0;
 
     println!(
         "Relay handled {} packet-arrival intervals (paper: 195).",
@@ -32,10 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The fix: defer the packet until sendDone instead of dropping.
-    let fixed = run_case2(&Case2Config {
+    let fixed = Case2Config {
         use_fixed: true,
         ..config
-    })?;
+    }
+    .study()?
+    .run()?
+    .0;
     println!(
         "\nFixed relay under the same workload: {} arrivals, {} drops.",
         fixed.sample_count,

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example protocol_contention`
 
-use sentomist::apps::{ctp, run_case3, Case3Config};
+use sentomist::apps::{ctp, Case3Config};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = Case3Config::default();
@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ctp::SOURCES,
         config.run_seconds
     );
-    let result = run_case3(&config)?;
+    let result = config.study()?.run()?.0;
 
     println!(
         "Pooled {} report-timer intervals from the {} source nodes \
@@ -45,10 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The one-line fix: clear the busy mark when send() fails.
-    let fixed = run_case3(&Case3Config {
+    let fixed = Case3Config {
         use_fixed: true,
         ..config
-    })?;
+    }
+    .study()?
+    .run()?
+    .0;
     println!(
         "\nFixed variant under the same contention: transient failures {} \
          (each retried on the next tick; the protocol keeps collecting).",

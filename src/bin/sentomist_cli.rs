@@ -105,7 +105,9 @@ USAGE:
       S..S+N, mined in isolation, aggregated by seed. Without --case the
       campaign is the case-I trigger experiment (one run per seed at
       sampling period --period, default 20 ms, --seconds long); with
-      --case each seed reruns the full case study. The aggregated output
+      --case each seed reruns the full case study, and --period,
+      --seconds, --nu and --timeout-cycles, which only the trigger
+      experiment reads, are rejected. The aggregated output
       (and --json document) is byte-identical for every --threads value.
       With --store every run's lifecycle traces are persisted to a trace
       corpus under DIR, re-minable later with `trace mine`. --writers W
@@ -728,7 +730,7 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_case(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use sentomist::apps::{run_case1, run_case2, run_case3, Case1Config, Case2Config, Case3Config};
+    use sentomist::apps::{Case1Config, Case2Config, Case3Config};
     let (pos, flags) = parse_flags(args);
     reject_unknown_flags("case", &flags, &[])?;
     let which = match pos.as_slice() {
@@ -736,12 +738,13 @@ fn cmd_case(args: &[String]) -> Result<(), Box<dyn Error>> {
         [] => return Err(usage_error("case: missing <1|2|3>".into())),
         [_, extra, ..] => return Err(usage_error(format!("case: unexpected argument `{extra}`"))),
     };
-    let result = match which {
-        "1" => run_case1(&Case1Config::default())?,
-        "2" => run_case2(&Case2Config::default())?,
-        "3" => run_case3(&Case3Config::default())?,
+    let study = match which {
+        "1" => Case1Config::default().study()?,
+        "2" => Case2Config::default().study()?,
+        "3" => Case3Config::default().study()?,
         other => return Err(format!("unknown case `{other}`").into()),
     };
+    let (result, _) = study.run()?;
     print!("{}", result.report.table(8, 2));
     println!(
         "\n{} samples; true symptoms at ranks {:?}",
@@ -860,6 +863,14 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
             "seed",
         ],
     )?;
+    if flags.contains_key("case") {
+        let trigger_only = ["period", "seconds", "nu", "timeout-cycles"];
+        if let Some(flag) = trigger_only.iter().find(|f| flags.contains_key(**f)) {
+            return Err(usage_error(format!(
+                "campaign: --{flag} configures the trigger experiment and cannot be combined with --case"
+            )));
+        }
+    }
     let json = flags.contains_key("json");
     let mode = campaign_mode(&flags)?;
     let mut config = mode.config_entries();

@@ -19,13 +19,14 @@
 //! ## Quickstart
 //!
 //! ```
-//! use sentomist::apps::{run_case2, Case2Config};
+//! use sentomist::apps::Case2Config;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Case study II: a relay that silently drops packets when its radio
-//! // is mid-transmission. Run the 3-node chain for 20 simulated seconds,
-//! // mine the relay's packet-arrival intervals, and rank them.
-//! let result = run_case2(&Case2Config::default())?;
+//! // is mid-transmission. Its study runs the 3-node chain for 20
+//! // simulated seconds and ranks the relay's packet-arrival intervals.
+//! let study = Case2Config::default().study()?;
+//! let (result, _traces) = study.run()?;
 //! println!("{}", result.report.table(7, 2));
 //! // The three true drop symptoms rank 1-2-3 out of ~200 intervals.
 //! assert_eq!(result.buggy_ranks, vec![1, 2, 3]);

@@ -123,3 +123,32 @@ fn outcome_lookup_finds_every_seed() {
     }
     assert!(result.outcome_for(999).is_none());
 }
+
+#[test]
+fn trigger_job_stops_cooperatively_on_cancellation_and_budget() {
+    let traced = trigger_job(20, 2, 0.05).expect("oscilloscope assembles");
+    let outcome = |ctx: &RunContext| traced(ctx).map(|(outcome, _)| outcome);
+
+    // A watchdog that fired before the first slice stops the run at once.
+    let cancelled = RunContext::new(1000, 1, None);
+    cancelled.cancel();
+    assert_eq!(
+        outcome(&cancelled),
+        Err(RunFailure::TimedOut(
+            "cancelled by the watchdog at cycle 0".to_string()
+        ))
+    );
+
+    // A budget shorter than the 2-s run stops it with a typed timeout.
+    assert_eq!(
+        outcome(&RunContext::new(1000, 1, Some(1_000_000))),
+        Err(RunFailure::TimedOut(
+            "cycle budget 1000000 exhausted before the 2000000-cycle run finished".to_string()
+        ))
+    );
+
+    // A budget exactly as long as the run changes nothing.
+    let unbounded = outcome(&RunContext::new(1000, 1, None)).expect("run completes");
+    let budgeted = outcome(&RunContext::new(1000, 1, Some(2_000_000))).expect("run completes");
+    assert_eq!(budgeted, unbounded);
+}

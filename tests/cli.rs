@@ -357,6 +357,48 @@ fn misspelled_flags_are_rejected_by_every_subcommand() {
     }
 }
 
+/// The trigger experiment's flags configure nothing in a case-study
+/// campaign, so `--case` rejects them rather than silently dropping them,
+/// for sweeps and replays alike.
+#[test]
+fn campaign_case_rejects_trigger_only_flags() {
+    for (flag, value) in [
+        ("--period", "50"),
+        ("--seconds", "2"),
+        ("--nu", "0.3"),
+        ("--timeout-cycles", "1000"),
+    ] {
+        for selection in [
+            &["--case", "3", "--seeds", "1"][..],
+            &["--case", "3", "--replay", "--seed", "1000"][..],
+        ] {
+            let mut args = vec!["campaign"];
+            args.extend_from_slice(selection);
+            args.extend([flag, value]);
+            let out = cli().args(&args).output().unwrap();
+            let invocation = args.join(" ");
+            assert!(
+                !out.status.success(),
+                "`sentomist {invocation}` should exit nonzero"
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("{flag} configures the trigger experiment")),
+                "`sentomist {invocation}` stderr lacks the rejection:\n{stderr}"
+            );
+            assert!(
+                stderr.contains("USAGE:"),
+                "`sentomist {invocation}` stderr lacks the usage text:\n{stderr}"
+            );
+            assert!(
+                out.stdout.is_empty(),
+                "`sentomist {invocation}` leaked onto stdout: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+    }
+}
+
 /// `campaign --replay` runs a seed through the sweep's own job: every
 /// row of a recorded trigger and case-III campaign replays to exactly
 /// its `outcomes` entry.

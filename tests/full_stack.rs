@@ -3,7 +3,7 @@
 //! exercised through the umbrella crate, with consistency checks between
 //! layers.
 
-use sentomist::apps::{run_case2, Case2Config};
+use sentomist::apps::Case2Config;
 use sentomist::core::{harvest_set, Pipeline, SampleIndex};
 use sentomist::netsim::{LinkConfig, NetSim, Topology};
 use sentomist::tinyvm::{self, devices::NodeConfig, isa::irq, node::Node};
@@ -113,7 +113,7 @@ fn pipeline_over_network_trace_is_clean_for_healthy_app() {
 #[test]
 fn umbrella_reexports_compose() {
     // Smoke: every layer reachable through the umbrella crate.
-    let result = run_case2(&Case2Config::default()).unwrap();
+    let result = Case2Config::default().study().unwrap().run().unwrap().0;
     assert_eq!(result.buggy_ranks, vec![1, 2, 3]);
     let _k = sentomist::mlcore::Kernel::rbf_default(8);
     let _t = sentomist::netsim::Topology::chain(2, LinkConfig::default()).unwrap();
