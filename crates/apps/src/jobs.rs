@@ -117,27 +117,44 @@ pub enum Mode {
 
 impl Mode {
     /// Resolves a mode from an optional case selector plus the trigger
-    /// parameters (used when no case is selected).
+    /// parameters, which only the trigger experiment (no case) reads. An
+    /// absent parameter takes its default: a 20 ms sampling period, 10
+    /// emulated seconds and ν = 0.05.
     ///
     /// # Errors
     ///
-    /// Unknown case selector.
+    /// A trigger parameter given with a case (``--FLAG configures the
+    /// trigger experiment and cannot be combined with --case``, naming
+    /// the first of period, seconds and nu given), then an unknown case
+    /// selector.
     pub fn resolve(
         case: Option<&str>,
-        period: u32,
-        seconds: u64,
-        nu: f64,
+        period: Option<u32>,
+        seconds: Option<u64>,
+        nu: Option<f64>,
     ) -> Result<Mode, JobError> {
+        let Some(case) = case else {
+            return Ok(Mode::Trigger {
+                period: period.unwrap_or(20),
+                seconds: seconds.unwrap_or(10),
+                nu: nu.unwrap_or(0.05),
+            });
+        };
+        let given = [
+            ("period", period.is_some()),
+            ("seconds", seconds.is_some()),
+            ("nu", nu.is_some()),
+        ];
+        if let Some((flag, _)) = given.into_iter().find(|&(_, set)| set) {
+            return Err(JobError(format!(
+                "--{flag} configures the trigger experiment and cannot be combined with --case"
+            )));
+        }
         match case {
-            None => Ok(Mode::Trigger {
-                period,
-                seconds,
-                nu,
-            }),
-            Some("1") => Ok(Mode::Case1),
-            Some("2") => Ok(Mode::Case2),
-            Some("3") => Ok(Mode::Case3),
-            Some(other) => Err(JobError(format!("unknown case `{other}`"))),
+            "1" => Ok(Mode::Case1),
+            "2" => Ok(Mode::Case2),
+            "3" => Ok(Mode::Case3),
+            other => Err(JobError(format!("unknown case `{other}`"))),
         }
     }
 
@@ -149,28 +166,22 @@ impl Mode {
     ///
     /// Unknown stored mode, malformed or non-numeric parameter entries.
     pub fn from_campaign(manifest: &CampaignManifest) -> Result<Mode, JobError> {
-        let mut period: u32 = 20;
-        let mut seconds: u64 = 10;
-        let mut nu: f64 = 0.05;
+        let (mut period, mut seconds, mut nu) = (None, None, None);
         for p in &manifest.params {
             let (k, v) = p
                 .split_once('=')
                 .ok_or_else(|| JobError(format!("malformed campaign param `{p}`")))?;
             let bad = |name: &str| JobError(format!("campaign param {name} wants a number: `{v}`"));
             match k {
-                "period" => period = v.parse().map_err(|_| bad("period"))?,
-                "seconds" => seconds = v.parse().map_err(|_| bad("seconds"))?,
-                "nu" => nu = v.parse().map_err(|_| bad("nu"))?,
+                "period" => period = Some(v.parse().map_err(|_| bad("period"))?),
+                "seconds" => seconds = Some(v.parse().map_err(|_| bad("seconds"))?),
+                "nu" => nu = Some(v.parse().map_err(|_| bad("nu"))?),
                 // Unknown params are ignored for forward compatibility.
                 _ => {}
             }
         }
         match manifest.mode.as_str() {
-            "trigger" => Ok(Mode::Trigger {
-                period,
-                seconds,
-                nu,
-            }),
+            "trigger" => Mode::resolve(None, period, seconds, nu),
             "case1" => Ok(Mode::Case1),
             "case2" => Ok(Mode::Case2),
             "case3" => Ok(Mode::Case3),

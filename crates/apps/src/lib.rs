@@ -41,6 +41,6 @@ pub use jobs::{
     SupervisedTracedJob,
 };
 pub use scenario::{
-    emulate_scenario, hunt_iteration, mine_scenario, mined_matches, scenario, scenario_evidence,
-    scenario_program, HuntCase, HuntScenario, MinedScenario, ScenarioParams, Variant,
+    emulate_scenario, hunt_iteration, mine_scenario, scenario, scenario_evidence, scenario_program,
+    HuntCase, HuntScenario, MinedScenario, ScenarioParams, Variant,
 };

@@ -10,26 +10,28 @@
 //! merely selects which program runs.
 //!
 //! [`hunt_iteration`] is the full per-seed job the hunt campaign fans
-//! out: emulate the scenario, mine it, re-mine it, assemble
-//! [`Evidence`] and check the [invariant
+//! out: emulate the scenario, mine it, re-mine it (from a trace store
+//! when one is given), assemble [`Evidence`] and check the [invariant
 //! registry](sentomist_core::hunt). Each scenario runs as a
 //! [`Study`] built from its case's nodes, so emulation and
 //! harvesting are the case studies' own. Granular pieces
 //! ([`emulate_scenario`], [`mine_scenario`]) are public for callers that
-//! persist traces to a store between the steps.
+//! examine or time the steps apart.
 
 use crate::experiments::{
     chain_digest, ctp_tree, forwarder_chain, oscilloscope_alone, CaseResult, DetectorKind, Pool,
     Study,
 };
+use crate::jobs::fnv64;
 use crate::{ctp, forwarder, oscilloscope};
 use netsim::LinkConfig;
 use sentomist_core::hunt::{check_invariants, Evidence, InvariantPolicy, IterationRecord};
-use sentomist_core::supervise::splitmix64;
+use sentomist_core::supervise::{splitmix64, RunFailure};
 use sentomist_core::{
     causal_chain, corroborate_with_chain, localize_set, CausalChain, SampleIndex,
 };
 use sentomist_trace::Trace;
+use sentomist_tracestore::TraceStore;
 use staticlint::lint;
 use std::sync::Arc;
 use tinyvm::devices::{AdcConfig, NodeConfig};
@@ -515,7 +517,7 @@ pub fn scenario_evidence(
 
 /// Whether two mining passes over the same traces agree exactly — the
 /// `mining_determinism` predicate.
-pub fn mined_matches(s: &HuntScenario, a: &MinedScenario, b: &MinedScenario) -> bool {
+fn mined_matches(s: &HuntScenario, a: &MinedScenario, b: &MinedScenario) -> bool {
     a.result.to_outcome(s.seed) == b.result.to_outcome(s.seed)
         && a.negative_scores == b.negative_scores
         && a.effective_nu == b.effective_nu
@@ -527,22 +529,44 @@ pub fn mined_matches(s: &HuntScenario, a: &MinedScenario, b: &MinedScenario) -> 
 /// The complete per-seed hunt job: generate the scenario, emulate it,
 /// mine it twice (live + re-mine, feeding `mining_determinism`), check
 /// every applicable invariant, and return the iteration record along
-/// with the recorded traces for optional persistence.
+/// with the recorded traces.
+///
+/// With a `store`, the run is saved under mode `hunt-<case>-<variant>`,
+/// keyed by the FNV-1a digest of the program's disassembly, and the
+/// re-mine reads the traces back from it, so `mining_determinism` also
+/// covers the stored, digest-verified bytes.
 ///
 /// # Errors
 ///
-/// Emulation/mining failures, as text — deterministic for a seed, so
-/// callers should treat them as fatal rather than retryable.
+/// Emulation, assembly and mining failures are [`RunFailure::Fatal`]:
+/// they are deterministic for a seed, so a retry cannot clear them.
+/// Storing or loading the run is [`RunFailure::Transient`].
 pub fn hunt_iteration(
     case: HuntCase,
     variant: Variant,
     seed: u64,
     policy: &InvariantPolicy,
-) -> Result<(IterationRecord, Vec<Trace>), String> {
+    store: Option<&TraceStore>,
+) -> Result<(IterationRecord, Vec<Trace>), RunFailure> {
     let s = scenario(case, variant, seed);
-    let traces = emulate_scenario(&s)?;
-    let mined = mine_scenario(&s, &traces)?;
-    let remined = mine_scenario(&s, &traces)?;
+    let traces = emulate_scenario(&s).map_err(RunFailure::Fatal)?;
+    let mined = mine_scenario(&s, &traces).map_err(RunFailure::Fatal)?;
+    let remined = match store {
+        None => mine_scenario(&s, &traces),
+        Some(store) => {
+            let program = scenario_program(&s).map_err(RunFailure::Fatal)?;
+            let digest = fnv64(tinyvm::disassemble(&program).as_bytes());
+            let mode = format!("hunt-{}-{}", case.name(), variant.name());
+            let manifest = store
+                .save_run(seed, &mode, digest, &traces)
+                .map_err(|e| RunFailure::Transient(format!("storing run: {e}")))?;
+            let loaded = store
+                .load_traces(&manifest)
+                .map_err(|e| RunFailure::Transient(format!("loading stored run: {e}")))?;
+            mine_scenario(&s, &loaded)
+        }
+    }
+    .map_err(RunFailure::Fatal)?;
     let remine_matches = mined_matches(&s, &mined, &remined);
     let evidence = scenario_evidence(&s, &mined, remine_matches);
     let (checked, violations) = check_invariants(&evidence, policy);
@@ -591,7 +615,7 @@ mod tests {
     fn a_small_oscilloscope_iteration_round_trips() {
         let policy = InvariantPolicy::default();
         let (record, traces) =
-            hunt_iteration(HuntCase::Oscilloscope, Variant::Buggy, 3, &policy).unwrap();
+            hunt_iteration(HuntCase::Oscilloscope, Variant::Buggy, 3, &policy, None).unwrap();
         assert_eq!(record.seed, 3);
         assert_eq!(traces.len(), 1);
         assert!(record.outcome.samples > 0);

@@ -50,7 +50,7 @@ fn hunt_benches(c: &mut Criterion) {
             &case,
             |b, &case| {
                 b.iter(|| {
-                    hunt_iteration(case, Variant::Buggy, 0xBEEF, &policy)
+                    hunt_iteration(case, Variant::Buggy, 0xBEEF, &policy, None)
                         .expect("hunt iteration succeeds")
                 });
             },
@@ -59,8 +59,14 @@ fn hunt_benches(c: &mut Criterion) {
 
     // The invariant registry on already-mined evidence: bookkeeping
     // only, so it should be invisible next to the mining above.
-    let (record, traces) = hunt_iteration(HuntCase::Oscilloscope, Variant::Buggy, 0xBEEF, &policy)
-        .expect("hunt iteration succeeds");
+    let (record, traces) = hunt_iteration(
+        HuntCase::Oscilloscope,
+        Variant::Buggy,
+        0xBEEF,
+        &policy,
+        None,
+    )
+    .expect("hunt iteration succeeds");
     drop(traces);
     let s = scenario(HuntCase::Oscilloscope, Variant::Buggy, 0xBEEF);
     let mined = sentomist_apps::mine_scenario(

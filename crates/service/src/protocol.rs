@@ -477,12 +477,16 @@ pub enum Request {
         /// Case selector (`"1"|"2"|"3"`), empty for trigger mode.
         #[serde(default)]
         case: String,
-        /// Trigger-mode ADC period (ms).
-        period: u32,
-        /// Trigger-mode emulated seconds.
-        seconds: u64,
-        /// Trigger-mode one-class SVM ν.
-        nu: f64,
+        /// Trigger-mode ADC period (ms); absent means the default. Given
+        /// with a case, the request is refused.
+        #[serde(default)]
+        period: Option<u32>,
+        /// Trigger-mode emulated seconds, as `period`.
+        #[serde(default)]
+        seconds: Option<u64>,
+        /// Trigger-mode one-class SVM ν, as `period`.
+        #[serde(default)]
+        nu: Option<f64>,
         /// The seed.
         seed: u64,
     },
@@ -743,9 +747,9 @@ mod tests {
             Request::Panic,
             Request::Emulate {
                 case: String::new(),
-                period: 20,
-                seconds: 1,
-                nu: 0.05,
+                period: Some(20),
+                seconds: Some(1),
+                nu: Some(0.05),
                 seed: 1,
             },
             Request::Hunt {
@@ -768,9 +772,16 @@ mod tests {
             Request::Panic,
             Request::Emulate {
                 case: String::new(),
-                period: 20,
-                seconds: 2,
-                nu: 0.05,
+                period: Some(20),
+                seconds: Some(2),
+                nu: Some(0.05),
+                seed: 7,
+            },
+            Request::Emulate {
+                case: "3".into(),
+                period: None,
+                seconds: None,
+                nu: None,
                 seed: 7,
             },
             Request::Mine {

@@ -721,8 +721,8 @@ fn handle_request(request: &Request, shared: &Arc<Shared>) -> Result<Vec<u8>, Ru
             let policy = InvariantPolicy {
                 top_k: (*top_k).max(1) as usize,
             };
-            let (record, _traces) = sentomist_apps::hunt_iteration(case, variant, *seed, &policy)
-                .map_err(RunFailure::Transient)?;
+            let (record, _traces) =
+                sentomist_apps::hunt_iteration(case, variant, *seed, &policy, None)?;
             render_json(&record)
         }
         // Handled inline by the connection thread; reaching a worker is

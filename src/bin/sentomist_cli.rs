@@ -13,9 +13,10 @@
 //! ```
 
 use sentomist::apps::{
-    bundled_program, bundled_slice_report, campaign_document, default_slice_seeds, fnv64,
-    mine_corpus, slice_document, CorpusMineOptions, DetectorKind, Mode, SupervisedTracedJob,
+    bundled_program, bundled_slice_report, campaign_document, default_slice_seeds, mine_corpus,
+    slice_document, CorpusMineOptions, DetectorKind, Mode, SupervisedTracedJob,
 };
+use sentomist::args::{self, Args};
 use sentomist::core::campaign::{CampaignResult, RunOutcome, Verdict};
 use sentomist::core::chaos::ChaosConfig;
 use sentomist::core::supervise::{
@@ -40,6 +41,9 @@ fn usage() -> &'static str {
     "sentomist — transient WSN bug mining (ICDCS 2010 reproduction)
 
 USAGE:
+  Flags and switches may come in any order. An unknown flag, a flag
+  without its value or a stray argument is an error.
+
   sentomist assemble <app.s>
       Assemble and print the annotated disassembly.
 
@@ -214,61 +218,35 @@ USAGE:
 "
 }
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            // A flag followed by another flag (or nothing) is boolean:
-            // it maps to the empty string and consumes no value.
-            let value = match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    i += 2;
-                    v.clone()
-                }
-                _ => {
-                    i += 1;
-                    String::new()
-                }
-            };
-            flags.insert(name.to_string(), value);
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (positional, flags)
+/// Parses one subcommand's arguments against its declared value flags,
+/// switches and positional count. A malformed command line prints the
+/// usage on stderr, like an unknown subcommand.
+fn parse_args(
+    command: &str,
+    args: &[String],
+    values: &[&str],
+    switches: &[&str],
+    positionals: usize,
+) -> Result<Args, Box<dyn Error>> {
+    args::parse(args, values, switches, positionals)
+        .map_err(|e| usage_error(format!("{command}: {e}")))
 }
 
-/// Rejects flags the subcommand does not define: a typo like
-/// `--iteratoins` must print the usage on stderr and exit nonzero, not
-/// silently run with the default.
-fn reject_unknown_flags(
-    command: &str,
-    flags: &HashMap<String, String>,
-    allowed: &[&str],
-) -> Result<(), Box<dyn Error>> {
-    let mut unknown: Vec<&str> = flags
-        .keys()
-        .map(String::as_str)
-        .filter(|name| !allowed.contains(name))
-        .collect();
-    unknown.sort_unstable();
-    match unknown.first() {
-        Some(name) => Err(usage_error(format!("{command}: unknown flag `--{name}`"))),
-        None => Ok(()),
+/// `lint` and `slice` read one program: `<app.s>` or `--app NAME`.
+fn reject_two_programs(command: &str, args: &Args) -> Result<(), Box<dyn Error>> {
+    if args.has("app") && args.positional(0).is_some() {
+        return Err(usage_error(format!(
+            "{command}: give <app.s> or --app NAME, not both"
+        )));
     }
+    Ok(())
 }
 
 /// Parses `--pc N[,N...]` into a pc list; absent means "default seeds".
-fn flag_pcs(flags: &HashMap<String, String>) -> Result<Vec<u16>, String> {
-    let Some(raw) = flags.get("pc") else {
+fn flag_pcs(args: &Args) -> Result<Vec<u16>, String> {
+    let Some(raw) = args.value("pc") else {
         return Ok(Vec::new());
     };
-    if raw.is_empty() {
-        return Err("--pc wants a comma-separated pc list".into());
-    }
     raw.split(',')
         .map(|s| {
             s.trim()
@@ -278,37 +256,9 @@ fn flag_pcs(flags: &HashMap<String, String>) -> Result<Vec<u16>, String> {
         .collect()
 }
 
-fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
-    match flags.get(name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-        None => Ok(default),
-    }
-}
-
-fn flag_opt_u64(flags: &HashMap<String, String>, name: &str) -> Result<Option<u64>, String> {
-    match flags.get(name) {
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-        None => Ok(None),
-    }
-}
-
-fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    match flags.get(name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-        None => Ok(default),
-    }
-}
-
-fn detector_from(flags: &HashMap<String, String>) -> Result<DetectorKind, String> {
-    let nu = flag_f64(flags, "nu", 0.05)?;
-    let name = flags.get("detector").map(String::as_str).unwrap_or("ocsvm");
+fn detector_from(args: &Args) -> Result<DetectorKind, String> {
+    let nu = args.number_or("nu", 0.05)?;
+    let name = args.value("detector").unwrap_or("ocsvm");
     DetectorKind::from_name(name, nu).ok_or_else(|| format!("unknown detector `{name}`"))
 }
 
@@ -318,9 +268,8 @@ fn load_trace(path: &str) -> Result<Trace, Box<dyn Error>> {
 }
 
 fn cmd_assemble(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("assemble", &flags, &[])?;
-    let path = pos.first().ok_or("assemble: missing <app.s>")?;
+    let args = parse_args("assemble", args, &[], &[], 1)?;
+    let path = args.positional(0).ok_or("assemble: missing <app.s>")?;
     let src = std::fs::read_to_string(path)?;
     let program = tinyvm::assemble(&src)?;
     println!(
@@ -335,15 +284,13 @@ fn cmd_assemble(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("run", &flags, &["cycles", "seed", "trace"])?;
-    let path = pos.first().ok_or("run: missing <app.s>")?;
-    let cycles = flag_u64(&flags, "cycles", 10_000_000)?;
-    let seed = flag_u64(&flags, "seed", 42)?;
-    let out = flags
-        .get("trace")
-        .cloned()
-        .unwrap_or_else(|| format!("{path}.trace.json"));
+    let args = parse_args("run", args, &["cycles", "seed", "trace"], &[], 1)?;
+    let path = args.positional(0).ok_or("run: missing <app.s>")?;
+    let cycles = args.number_or("cycles", 10_000_000)?;
+    let seed = args.number_or("seed", 42)?;
+    let out = args
+        .value("trace")
+        .map_or_else(|| format!("{path}.trace.json"), String::from);
     let src = std::fs::read_to_string(path)?;
     let program = std::sync::Arc::new(tinyvm::assemble(&src)?);
     let mut node = Node::new(
@@ -369,10 +316,9 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags(
+    let args = parse_args(
         "mine",
-        &flags,
+        args,
         &[
             "irq",
             "detector",
@@ -381,12 +327,13 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
             "csv",
             "corroborate",
             "min-z",
-            "causal",
         ],
+        &["causal"],
+        1,
     )?;
-    let path = pos.first().ok_or("mine: missing <trace.json>")?;
-    let irq = flag_u64(&flags, "irq", 0)? as u8;
-    let top = flag_u64(&flags, "top", 10)? as usize;
+    let path = args.positional(0).ok_or("mine: missing <trace.json>")?;
+    let irq = args.number_or("irq", 0)?;
+    let top = args.number_or("top", 10)?;
     let trace = load_trace(path)?;
     let samples = harvest_set(&trace, irq, |seq, _| SampleIndex::Seq(seq))?;
     if samples.is_empty() {
@@ -397,26 +344,23 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         samples.len(),
         irq,
         tinyvm::isa::irq::name(irq),
-        flags.get("detector").map(String::as_str).unwrap_or("ocsvm"),
+        args.value("detector").unwrap_or("ocsvm"),
     );
-    let corroborate_app = flags.get("corroborate").filter(|s| !s.is_empty());
-    let report = detector_from(&flags)?
-        .pipeline()
-        .rank_set(samples.clone())?;
+    let report = detector_from(&args)?.pipeline().rank_set(samples.clone())?;
     print!("{}", report.table(top, 2));
-    if let Some(csv_path) = flags.get("csv") {
+    if let Some(csv_path) = args.value("csv") {
         std::fs::write(csv_path, report.to_csv())?;
         println!("full ranking written to {csv_path}");
     }
-    let Some(app_path) = corroborate_app else {
-        if flags.contains_key("causal") {
+    let Some(app_path) = args.value("corroborate") else {
+        if args.has("causal") {
             return Err("mine --causal needs --corroborate <app.s>".into());
         }
         return Ok(());
     };
     // Fuse: localize the top-ranked interval and join the implicated
     // instructions against the static analyzer's warnings.
-    let min_z = flag_f64(&flags, "min-z", 1.0)?;
+    let min_z = args.number_or("min-z", 1.0)?;
     let src = std::fs::read_to_string(app_path).map_err(|e| format!("reading {app_path}: {e}"))?;
     let program = tinyvm::assemble(&src)?;
     if program.len() != trace.program_len {
@@ -438,7 +382,7 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         .ok_or("ranked sample missing from the harvested set")?;
     let hits = localize_set(&samples, flagged, &program, min_z);
     let lint = sentomist::staticlint::lint(&program);
-    let chain = if flags.contains_key("causal") {
+    let chain = if args.has("causal") {
         let interval = samples.meta[flagged].interval;
         let seeds: Vec<u16> = hits.iter().map(|h| h.pc).collect();
         causal_chain(&program, &trace, &interval, &seeds, &lint)?
@@ -474,7 +418,7 @@ fn cmd_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
             tag
         );
     }
-    if flags.contains_key("causal") {
+    if args.has("causal") {
         println!();
         match &chain {
             Some(c) => print_chain(c),
@@ -515,19 +459,20 @@ fn print_chain(chain: &CausalChain) {
 
 /// One of the paper's three bundled case-study programs, by name.
 fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("lint", &flags, &["app", "fixed", "json"])?;
-    let json = flags.contains_key("json");
-    let program = match flags.get("app") {
-        Some(name) => bundled_program(name, flags.contains_key("fixed"))?,
+    let args = parse_args("lint", args, &["app"], &["fixed", "json"], 1)?;
+    reject_two_programs("lint", &args)?;
+    let program = match args.value("app") {
+        Some(name) => bundled_program(name, args.has("fixed"))?,
         None => {
-            let path = pos.first().ok_or("lint: missing <app.s> (or --app NAME)")?;
+            let path = args
+                .positional(0)
+                .ok_or("lint: missing <app.s> (or --app NAME)")?;
             let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             std::sync::Arc::new(tinyvm::assemble(&src)?)
         }
     };
     let report = sentomist::staticlint::lint(&program);
-    if json {
+    if args.has("json") {
         println!("{}", serde_json::to_string_pretty(&report)?);
     } else {
         print!("{}", report.table());
@@ -574,27 +519,20 @@ fn print_slice_report(report: &sentomist::staticlint::SliceReport) {
 /// daemon answers Slice requests with, so `--app --json` output and a
 /// daemon response are byte-identical by construction.
 fn cmd_slice(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("slice", &flags, &["app", "fixed", "json", "pc"])?;
-    let json = flags.contains_key("json");
-    let pcs = flag_pcs(&flags)?;
-    if let Some(name) = flags.get("app") {
+    let args = parse_args("slice", args, &["app", "pc"], &["fixed", "json"], 1)?;
+    reject_two_programs("slice", &args)?;
+    let json = args.has("json");
+    let pcs = flag_pcs(&args)?;
+    if let Some(name) = args.value("app") {
         if json {
-            print!(
-                "{}",
-                slice_document(name, flags.contains_key("fixed"), &pcs)?
-            );
+            print!("{}", slice_document(name, args.has("fixed"), &pcs)?);
         } else {
-            print_slice_report(&bundled_slice_report(
-                name,
-                flags.contains_key("fixed"),
-                &pcs,
-            )?);
+            print_slice_report(&bundled_slice_report(name, args.has("fixed"), &pcs)?);
         }
         return Ok(());
     }
-    let path = pos
-        .first()
+    let path = args
+        .positional(0)
         .ok_or("slice: missing <app.s> (or --app NAME)")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let program = tinyvm::assemble(&src)?;
@@ -628,17 +566,18 @@ fn cmd_slice(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags(
+    let args = parse_args(
         "localize",
-        &flags,
-        &["irq", "rank", "min-z", "detector", "nu", "causal"],
+        args,
+        &["irq", "rank", "min-z", "detector", "nu"],
+        &["causal"],
+        2,
     )?;
-    let trace_path = pos.first().ok_or("localize: missing <trace.json>")?;
-    let app_path = pos.get(1).ok_or("localize: missing <app.s>")?;
-    let irq = flag_u64(&flags, "irq", 0)? as u8;
-    let rank = flag_u64(&flags, "rank", 1)?.max(1) as usize;
-    let min_z = flag_f64(&flags, "min-z", 1.0)?;
+    let trace_path = args.positional(0).ok_or("localize: missing <trace.json>")?;
+    let app_path = args.positional(1).ok_or("localize: missing <app.s>")?;
+    let irq = args.number_or("irq", 0)?;
+    let rank = args.number_or("rank", 1usize)?.max(1);
+    let min_z = args.number_or("min-z", 1.0)?;
     let trace = load_trace(trace_path)?;
     let src = std::fs::read_to_string(app_path)?;
     let program = tinyvm::assemble(&src)?;
@@ -651,9 +590,7 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
         .into());
     }
     let samples = harvest_set(&trace, irq, |seq, _| SampleIndex::Seq(seq))?;
-    let report = detector_from(&flags)?
-        .pipeline()
-        .rank_set(samples.clone())?;
+    let report = detector_from(&args)?.pipeline().rank_set(samples.clone())?;
     let target = report
         .ranking
         .get(rank - 1)
@@ -664,7 +601,7 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
         .position(|m| m.index == target.index)
         .ok_or("ranked sample missing from the harvested set")?;
     let hits = localize_set(&samples, flagged, &program, min_z);
-    let chain = if flags.contains_key("causal") {
+    let chain = if args.has("causal") {
         let lint = sentomist::staticlint::lint(&program);
         let interval = samples.meta[flagged].interval;
         let seeds: Vec<u16> = hits.iter().map(|h| h.pc).collect();
@@ -700,7 +637,7 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
             hit.source_line.unwrap_or(0),
         );
     }
-    if flags.contains_key("causal") {
+    if args.has("causal") {
         println!();
         match &chain {
             Some(c) => print_chain(c),
@@ -714,10 +651,9 @@ fn cmd_localize(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("profile", &flags, &[])?;
-    let trace_path = pos.first().ok_or("profile: missing <trace.json>")?;
-    let app_path = pos.get(1).ok_or("profile: missing <app.s>")?;
+    let args = parse_args("profile", args, &[], &[], 2)?;
+    let trace_path = args.positional(0).ok_or("profile: missing <trace.json>")?;
+    let app_path = args.positional(1).ok_or("profile: missing <app.s>")?;
     let trace = load_trace(trace_path)?;
     let src = std::fs::read_to_string(app_path)?;
     let program = tinyvm::assemble(&src)?;
@@ -731,13 +667,10 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 fn cmd_case(args: &[String]) -> Result<(), Box<dyn Error>> {
     use sentomist::apps::{Case1Config, Case2Config, Case3Config};
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("case", &flags, &[])?;
-    let which = match pos.as_slice() {
-        [which] => which.as_str(),
-        [] => return Err(usage_error("case: missing <1|2|3>".into())),
-        [_, extra, ..] => return Err(usage_error(format!("case: unexpected argument `{extra}`"))),
-    };
+    let args = parse_args("case", args, &[], &[], 1)?;
+    let which = args
+        .positional(0)
+        .ok_or_else(|| usage_error("case: missing <1|2|3>".into()))?;
     let study = match which {
         "1" => Case1Config::default().study()?,
         "2" => Case2Config::default().study()?,
@@ -758,13 +691,20 @@ type SupervisedJob = Box<dyn Fn(&RunContext) -> Result<RunOutcome, RunFailure> +
 /// Resolves the campaign mode from command-line flags. The mode logic
 /// itself lives in `apps::jobs` so the mining daemon resolves the exact
 /// same modes.
-fn campaign_mode(flags: &HashMap<String, String>) -> Result<Mode, Box<dyn Error>> {
-    Ok(Mode::resolve(
-        flags.get("case").map(String::as_str),
-        flag_u64(flags, "period", 20)? as u32,
-        flag_u64(flags, "seconds", 10)?,
-        flag_f64(flags, "nu", 0.05)?,
-    )?)
+fn campaign_mode(args: &Args) -> Result<Mode, Box<dyn Error>> {
+    let (period, seconds, nu) = (
+        args.number("period")?,
+        args.number("seconds")?,
+        args.number("nu")?,
+    );
+    // Given a trigger flag, resolving fails only on its combination with
+    // --case: a misuse of the command line, so the usage follows.
+    Mode::resolve(args.value("case"), period, seconds, nu).map_err(|e| {
+        match (period, seconds, nu) {
+            (None, None, None) => e.into(),
+            _ => usage_error(format!("campaign: {e}")),
+        }
+    })
 }
 
 fn print_outcome(o: &RunOutcome) {
@@ -834,10 +774,9 @@ fn print_campaign_table(result: &CampaignResult) {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (_, flags) = parse_flags(args);
-    reject_unknown_flags(
+    let args = parse_args(
         "campaign",
-        &flags,
+        args,
         &[
             "case",
             "seeds",
@@ -846,12 +785,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
             "period",
             "seconds",
             "nu",
-            "json",
-            "progress",
             "store",
             "writers",
-            "resume",
-            "strict",
             "max-retries",
             "backoff-ms",
             "timeout-ms",
@@ -859,28 +794,28 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
             "chaos",
             "chaos-rate",
             "stop-after",
-            "replay",
             "seed",
         ],
+        &["json", "progress", "resume", "strict", "replay"],
+        0,
     )?;
-    if flags.contains_key("case") {
-        let trigger_only = ["period", "seconds", "nu", "timeout-cycles"];
-        if let Some(flag) = trigger_only.iter().find(|f| flags.contains_key(**f)) {
-            return Err(usage_error(format!(
-                "campaign: --{flag} configures the trigger experiment and cannot be combined with --case"
-            )));
-        }
+    let mode = campaign_mode(&args)?;
+    // The cycle budget is a supervisor option, not a mode parameter,
+    // but only the trigger experiment's job meters itself in cycles.
+    if args.has("case") && args.has("timeout-cycles") {
+        return Err(usage_error(
+            "campaign: --timeout-cycles configures the trigger experiment and cannot be \
+             combined with --case"
+                .into(),
+        ));
     }
-    let json = flags.contains_key("json");
-    let mode = campaign_mode(&flags)?;
+    let json = args.has("json");
     let mut config = mode.config_entries();
 
-    if flags.contains_key("replay") {
-        let seed = flags
-            .get("seed")
-            .ok_or("campaign --replay needs --seed S")?
-            .parse::<u64>()
-            .map_err(|_| "--seed wants a number")?;
+    if args.has("replay") {
+        let seed = args
+            .number("seed")?
+            .ok_or("campaign --replay needs --seed S")?;
         // The sweep's own job, supervised as a fleet of one: no store,
         // no chaos, no retries.
         let traced = mode.supervised_traced_job()?;
@@ -918,9 +853,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
 
-    let n_seeds = flag_u64(&flags, "seeds", 16)?;
-    let base_seed = flag_u64(&flags, "base-seed", 1000)?;
-    let threads = flag_u64(&flags, "threads", 1)?.max(1) as usize;
+    let n_seeds: u64 = args.number_or("seeds", 16)?;
+    let base_seed: u64 = args.number_or("base-seed", 1000)?;
+    let threads = args.number_or("threads", 1usize)?.max(1);
     let seeds: Vec<u64> = (0..n_seeds).map(|i| base_seed + i).collect();
     config.push(("seeds".to_string(), Serialize::to_value(&n_seeds)));
     config.push(("base_seed".to_string(), Serialize::to_value(&base_seed)));
@@ -928,30 +863,32 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
     // Supervision knobs. Deliberately excluded from the config block:
     // like --threads, they must never influence the serialized document
     // of the runs that succeed.
-    let strict = flags.contains_key("strict");
-    let resume = flags.contains_key("resume");
+    let strict = args.has("strict");
+    let resume = args.has("resume");
     // Like --threads, --writers is a topology knob: it decides which
     // shard a run lands in, never what the run contains, so the merged
     // index and the re-mined document are byte-identical for every W.
-    let writers = flag_u64(&flags, "writers", 1)?.max(1);
+    let writers = args.number_or("writers", 1u64)?.max(1);
     let sup = SupervisorOptions {
         threads,
-        progress: flags.contains_key("progress"),
-        max_retries: flag_u64(&flags, "max-retries", 0)? as u32,
-        timeout: flag_opt_u64(&flags, "timeout-ms")?.map(std::time::Duration::from_millis),
-        cycle_budget: flag_opt_u64(&flags, "timeout-cycles")?,
-        backoff_base_ms: flag_u64(&flags, "backoff-ms", 25)?,
-        stop_after: flag_opt_u64(&flags, "stop-after")?.map(|k| k as usize),
+        progress: args.has("progress"),
+        max_retries: args.number_or("max-retries", 0)?,
+        timeout: args
+            .number("timeout-ms")?
+            .map(std::time::Duration::from_millis),
+        cycle_budget: args.number("timeout-cycles")?,
+        backoff_base_ms: args.number_or("backoff-ms", 25)?,
+        stop_after: args.number("stop-after")?,
     };
-    let chaos = match flag_opt_u64(&flags, "chaos")? {
+    let chaos = match args.number("chaos")? {
         Some(seed) => Some(ChaosConfig::uniform(
             seed,
-            flag_f64(&flags, "chaos-rate", 0.1)?,
+            args.number_or("chaos-rate", 0.1)?,
         )),
         None => None,
     };
 
-    let store = match flags.get("store").filter(|s| !s.is_empty()) {
+    let store = match args.value("store") {
         Some(dir) if resume => Some(TraceStore::open(dir)?),
         Some(dir) => Some(TraceStore::create(dir)?),
         None if resume => {
@@ -1124,50 +1061,41 @@ fn cmd_campaign(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use sentomist::apps::{
-        emulate_scenario, hunt_iteration, mine_scenario, mined_matches, scenario,
-        scenario_evidence, scenario_program, HuntCase, Variant,
-    };
-    use sentomist::core::hunt::{
-        check_invariants, HuntReport, InvariantPolicy, IterationRecord, TargetReport,
-    };
+    use sentomist::apps::{hunt_iteration, HuntCase, Variant};
+    use sentomist::core::hunt::{HuntReport, InvariantPolicy, IterationRecord, TargetReport};
     use sentomist::core::supervise::run_supervised_typed;
     use std::path::PathBuf;
     use std::sync::Arc;
 
-    let (_, flags) = parse_flags(args);
-    reject_unknown_flags(
+    let args = parse_args(
         "hunt",
-        &flags,
+        args,
         &[
             "case",
-            "fixed",
             "iterations",
             "campaign-seed",
             "threads",
             "top-k",
             "out",
             "store",
-            "json",
-            "progress",
-            "strict",
             "max-retries",
             "timeout-ms",
-            "replay",
             "seed",
         ],
+        &["fixed", "json", "progress", "strict", "replay"],
+        0,
     )?;
-    let json = flags.contains_key("json");
-    let variant = if flags.contains_key("fixed") {
+    let json = args.has("json");
+    let variant = if args.has("fixed") {
         Variant::Fixed
     } else {
         Variant::Buggy
     };
     let policy = InvariantPolicy {
-        top_k: flag_u64(&flags, "top-k", 3)? as usize,
+        top_k: args.number_or("top-k", 3)?,
     };
-    let cases: Vec<HuntCase> = match flags.get("case").map(String::as_str).unwrap_or("all") {
-        "all" | "" => HuntCase::ALL.to_vec(),
+    let cases: Vec<HuntCase> = match args.value("case").unwrap_or("all") {
+        "all" => HuntCase::ALL.to_vec(),
         v => vec![v
             .parse::<u64>()
             .ok()
@@ -1175,17 +1103,13 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
             .ok_or_else(|| format!("--case wants 1, 2, 3 or all, got `{v}`"))?],
     };
 
-    if flags.contains_key("replay") {
-        let seed = flags
-            .get("seed")
-            .ok_or("hunt --replay needs --seed S")?
-            .parse::<u64>()
-            .map_err(|_| "--seed wants a number")?;
+    if args.has("replay") {
+        let seed = args.number("seed")?.ok_or("hunt --replay needs --seed S")?;
         let &[case] = cases.as_slice() else {
             return Err("hunt --replay needs a single --case (1, 2 or 3)".into());
         };
-        let (record, _traces) = hunt_iteration(case, variant, seed, &policy)
-            .map_err(|e| format!("seed {seed}: {e}"))?;
+        let (record, _traces) = hunt_iteration(case, variant, seed, &policy, None)
+            .map_err(|e| format!("seed {seed}: {}", e.message()))?;
         if json {
             println!("{}", serde_json::to_string_pretty(&record)?);
         } else {
@@ -1218,19 +1142,18 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
 
-    let iterations = flag_u64(&flags, "iterations", 25)?;
-    let campaign_seed = flag_u64(&flags, "campaign-seed", 0xBEEF)?;
-    let threads = flag_u64(&flags, "threads", 1)?.max(1) as usize;
-    let strict = flags.contains_key("strict");
-    let progress = flags.contains_key("progress");
-    let out_dir = PathBuf::from(match flags.get("out").map(String::as_str) {
-        Some("") | None => ".",
-        Some(dir) => dir,
-    });
+    let iterations: u64 = args.number_or("iterations", 25)?;
+    let campaign_seed: u64 = args.number_or("campaign-seed", 0xBEEF)?;
+    let threads = args.number_or("threads", 1usize)?.max(1);
+    let strict = args.has("strict");
+    let progress = args.has("progress");
+    let out_dir = PathBuf::from(args.value("out").unwrap_or("."));
     let sup = SupervisorOptions {
         threads,
-        max_retries: flag_u64(&flags, "max-retries", 0)? as u32,
-        timeout: flag_opt_u64(&flags, "timeout-ms")?.map(std::time::Duration::from_millis),
+        max_retries: args.number_or("max-retries", 0)?,
+        timeout: args
+            .number("timeout-ms")?
+            .map(std::time::Duration::from_millis),
         ..SupervisorOptions::default()
     };
     // Scenario seeds are a pure function of (campaign seed, iteration);
@@ -1238,7 +1161,7 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
     let seeds: Vec<u64> = (0..iterations)
         .map(|i| campaign_seed.wrapping_add(i))
         .collect();
-    let store_root = match flags.get("store").filter(|s| !s.is_empty()) {
+    let store_root = match args.value("store") {
         Some(dir) => Some(TraceStore::create(dir)?),
         None => None,
     };
@@ -1259,35 +1182,9 @@ fn cmd_hunt(args: &[String]) -> Result<(), Box<dyn Error>> {
             None => None,
         };
         let pol = policy;
-        let job = move |ctx: &RunContext| -> Result<IterationRecord, RunFailure> {
-            let seed = ctx.seed();
-            let Some(store) = &substore else {
-                return hunt_iteration(case, variant, seed, &pol)
-                    .map(|(record, _)| record)
-                    .map_err(RunFailure::Fatal);
-            };
-            let s = scenario(case, variant, seed);
-            let traces = emulate_scenario(&s).map_err(RunFailure::Fatal)?;
-            let mined = mine_scenario(&s, &traces).map_err(RunFailure::Fatal)?;
-            let program = scenario_program(&s).map_err(RunFailure::Fatal)?;
-            let digest = fnv64(tinyvm::disassemble(&program).as_bytes());
-            let mode = format!("hunt-{}-{}", case.name(), variant.name());
-            let manifest = store
-                .save_run(seed, &mode, digest, &traces)
-                .map_err(|e| RunFailure::Transient(format!("storing run: {e}")))?;
-            let loaded = store
-                .load_traces(&manifest)
-                .map_err(|e| RunFailure::Transient(format!("loading stored run: {e}")))?;
-            let remined = mine_scenario(&s, &loaded).map_err(RunFailure::Fatal)?;
-            let remine_matches = mined_matches(&s, &mined, &remined);
-            let evidence = scenario_evidence(&s, &mined, remine_matches);
-            let (checked, violations) = check_invariants(&evidence, &pol);
-            Ok(IterationRecord {
-                seed,
-                outcome: evidence.outcome,
-                checked,
-                violations,
-            })
+        let job = move |ctx: &RunContext| {
+            hunt_iteration(case, variant, ctx.seed(), &pol, substore.as_ref())
+                .map(|(record, _)| record)
         };
         let label = format!("{}-{}", case.name(), variant.name());
         let result = run_supervised_typed(&seeds, &sup, Arc::new(job), |report| {
@@ -1416,17 +1313,12 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_fsck(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace fsck", &flags, &["repair"])?;
-    // `trace fsck --repair <dir>` parses the dir as the flag's value;
-    // accept it from either position.
-    let root = pos
-        .first()
-        .cloned()
-        .or_else(|| flags.get("repair").filter(|s| !s.is_empty()).cloned())
+    let args = parse_args("trace fsck", args, &[], &["repair"], 1)?;
+    let root = args
+        .positional(0)
         .ok_or("trace fsck: missing <store-dir>")?;
-    let repair = flags.contains_key("repair");
-    let store = TraceStore::open(&root)?;
+    let repair = args.has("repair");
+    let store = TraceStore::open(root)?;
     let report = store.fsck(repair)?;
     if report.is_clean() {
         println!("{root}: clean — no pending log entries, temp files or damaged runs");
@@ -1466,9 +1358,10 @@ fn cmd_trace_fsck(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_merge(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace merge", &flags, &[])?;
-    let root = pos.first().ok_or("trace merge: missing <store-dir>")?;
+    let args = parse_args("trace merge", args, &[], &[], 1)?;
+    let root = args
+        .positional(0)
+        .ok_or("trace merge: missing <store-dir>")?;
     let store = TraceStore::open(root)?;
     let shards = store.shard_ids()?;
     if shards.is_empty() {
@@ -1498,10 +1391,9 @@ fn cmd_trace_quarantine(args: &[String]) -> Result<(), Box<dyn Error>> {
         .ok_or_else(|| usage_error("trace quarantine: missing subcommand (ls)".into()))?;
     match sub {
         "ls" => {
-            let (pos, flags) = parse_flags(&args[1..]);
-            reject_unknown_flags("trace quarantine ls", &flags, &[])?;
-            let root = pos
-                .first()
+            let args = parse_args("trace quarantine ls", &args[1..], &[], &[], 1)?;
+            let root = args
+                .positional(0)
                 .ok_or("trace quarantine ls: missing <store-dir>")?;
             let store = TraceStore::open(root)?;
             let notes = store.quarantined()?;
@@ -1527,15 +1419,13 @@ fn cmd_trace_quarantine(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_record(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace record", &flags, &["cycles", "seed", "out"])?;
-    let path = pos.first().ok_or("trace record: missing <app.s>")?;
-    let cycles = flag_u64(&flags, "cycles", 10_000_000)?;
-    let seed = flag_u64(&flags, "seed", 42)?;
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("{path}.stc"));
+    let args = parse_args("trace record", args, &["cycles", "seed", "out"], &[], 1)?;
+    let path = args.positional(0).ok_or("trace record: missing <app.s>")?;
+    let cycles = args.number_or("cycles", 10_000_000)?;
+    let seed = args.number_or("seed", 42)?;
+    let out = args
+        .value("out")
+        .map_or_else(|| format!("{path}.stc"), String::from);
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let program = std::sync::Arc::new(tinyvm::assemble(&src)?);
     let mut node = Node::new(
@@ -1570,9 +1460,8 @@ fn cmd_trace_record(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_ls(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace ls", &flags, &[])?;
-    let root = pos.first().ok_or("trace ls: missing <store-dir>")?;
+    let args = parse_args("trace ls", args, &[], &[], 1)?;
+    let root = args.positional(0).ok_or("trace ls: missing <store-dir>")?;
     let store = TraceStore::open(root)?;
     if let Some(c) = store.campaign()? {
         println!(
@@ -1690,17 +1579,12 @@ fn stc_file_salvage(path: &Path) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_info(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags("trace info", &flags, &["salvage"])?;
-    // `trace info --salvage <path>` parses the path as the flag's value;
-    // accept it from either position.
-    let target = pos
-        .first()
-        .cloned()
-        .or_else(|| flags.get("salvage").filter(|s| !s.is_empty()).cloned())
-        .ok_or("trace info: missing <file.stc | store-dir>")?;
-    let path = Path::new(&target);
-    if flags.contains_key("salvage") {
+    let args = parse_args("trace info", args, &[], &["salvage"], 1)?;
+    let path = Path::new(
+        args.positional(0)
+            .ok_or("trace info: missing <file.stc | store-dir>")?,
+    );
+    if args.has("salvage") {
         if path.is_dir() {
             return Err("trace info --salvage works on a single .stc file".into());
         }
@@ -1738,23 +1622,18 @@ fn cmd_trace_info(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (pos, flags) = parse_flags(args);
-    reject_unknown_flags(
+    let args = parse_args(
         "trace mine",
-        &flags,
-        &["threads", "json", "progress", "quarantine"],
+        args,
+        &["threads"],
+        &["json", "progress", "quarantine"],
+        1,
     )?;
-    // `trace mine --quarantine <dir>` parses the dir as the flag's
-    // value; accept it from either position.
-    let root = pos
-        .first()
-        .cloned()
-        .or_else(|| flags.get("quarantine").filter(|s| !s.is_empty()).cloned())
+    let root = args
+        .positional(0)
         .ok_or("trace mine: missing <store-dir>")?;
-    let root = root.as_str();
-    let json = flags.contains_key("json");
     let store = TraceStore::open(root)?;
-    let threads = flag_u64(&flags, "threads", 1)?.max(1) as usize;
+    let threads = args.number_or("threads", 1usize)?.max(1);
     let started = std::time::Instant::now();
     // The whole re-mine vertical is `apps::jobs::mine_corpus` — the
     // same call the mining daemon answers Mine requests with, so this
@@ -1763,13 +1642,13 @@ fn cmd_trace_mine(args: &[String]) -> Result<(), Box<dyn Error>> {
         &store,
         &CorpusMineOptions {
             threads,
-            progress: flags.contains_key("progress"),
-            quarantine: flags.contains_key("quarantine"),
+            progress: args.has("progress"),
+            quarantine: args.has("quarantine"),
         },
     )?;
     let elapsed = started.elapsed();
 
-    if json {
+    if args.has("json") {
         // The document already carries its trailing newline.
         print!("{}", mined.document);
         return Ok(());

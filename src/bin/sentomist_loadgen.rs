@@ -27,13 +27,13 @@
 //!   requests are ever replayed — and retry/fault counters land in the
 //!   report and on stderr.
 
+use sentomist::args::{self, Args};
 use sentomist::core::supervise::splitmix64;
 use sentomist::service::{
     request_with_retry, ChaosProxy, Client, ClientConfig, ClientError, FaultPlan, ProxyStats,
     Request, Response, RetryPolicy, RetryStats, WireFailure,
 };
 use serde::Serialize;
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -43,6 +43,10 @@ fn usage() -> &'static str {
 
 USAGE:
     sentomist_loadgen --addr HOST:PORT [--once | ramp options] [job options]
+    sentomist_loadgen --help
+
+Flags and switches may come in any order. An unknown flag, a flag
+without its value or a stray argument is an error (exit 1).
 
 JOB (what each request asks for):
     --job ping                     liveness round-trip (default)
@@ -51,6 +55,9 @@ JOB (what each request asks for):
     --job lint --app NAME [--fixed]
     --job hunt --case N [--fixed] [--top-k K]
     --job emulate [--case N] [--period MS] [--seconds S] [--nu NU]
+                                   without --case, the trigger experiment
+                                   (defaults: 20 ms, 10 s, nu 0.05); a
+                                   case takes none of the three
     --job stats                    service counters
     --job panic                    poisoned-job probe (answers Error)
 
@@ -91,93 +98,72 @@ The failure class is also printed to stderr as `failure class: ...`.
 Ramp mode exits 0 and records sheds/errors/retries in the report."
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument `{arg}`"));
-        };
-        let value = match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => {
-                i += 1;
-                v.clone()
-            }
-            _ => String::new(),
-        };
-        flags.insert(name.to_string(), value);
-        i += 1;
-    }
-    Ok(flags)
-}
-
-/// Whether `--name` is `--help` or a flag that `usage()` documents. A
-/// usage line can name several flags (`--job sleep --ms MS`), so every
-/// `--word` in the text counts, not just the first on each line.
-fn known_flag(name: &str) -> bool {
-    name == "help"
-        || usage()
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .any(|word| word.strip_prefix("--") == Some(name))
-}
-
-fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-    }
-}
-
-fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-    }
-}
+/// The flags that take a value.
+const VALUES: &[&str] = &[
+    "addr",
+    "job",
+    "ms",
+    "store",
+    "app",
+    "case",
+    "top-k",
+    "period",
+    "seconds",
+    "nu",
+    "out",
+    "initial-rps",
+    "increment-rps",
+    "target-rps",
+    "duration-per-step",
+    "seed",
+    "bench-out",
+    "connect-timeout-ms",
+    "read-timeout-ms",
+    "write-timeout-ms",
+    "retries",
+    "retry-backoff-ms",
+    "chaos",
+    "chaos-rate",
+];
+const SWITCHES: &[&str] = &["once", "shutdown", "quarantine", "fixed", "help"];
 
 /// Builds the request for one ramp slot (or the single shot). `seed`
 /// varies per slot so seeded jobs exercise distinct, reproducible work.
-fn build_request(flags: &HashMap<String, String>, seed: u64) -> Result<Request, String> {
-    let job = flags.get("job").map(String::as_str).unwrap_or("ping");
-    Ok(match job {
+fn build_request(args: &Args, seed: u64) -> Result<Request, String> {
+    Ok(match args.value("job").unwrap_or("ping") {
         "ping" => Request::Ping,
         "sleep" => Request::Sleep {
-            ms: flag_u64(flags, "ms", 10)?,
+            ms: args.number_or("ms", 10)?,
         },
         "panic" => Request::Panic,
         "stats" => Request::Stats,
         "mine" => Request::Mine {
-            store: flags
-                .get("store")
-                .filter(|s| !s.is_empty())
+            store: args
+                .value("store")
                 .ok_or("--job mine needs --store PATH")?
-                .clone(),
-            quarantine: flags.contains_key("quarantine"),
+                .to_string(),
+            quarantine: args.has("quarantine"),
         },
         "lint" => Request::Lint {
-            app: flags
-                .get("app")
-                .filter(|s| !s.is_empty())
+            app: args
+                .value("app")
                 .ok_or("--job lint needs --app NAME")?
-                .clone(),
-            fixed: flags.contains_key("fixed"),
+                .to_string(),
+            fixed: args.has("fixed"),
         },
         "hunt" => Request::Hunt {
-            case: flag_u64(flags, "case", 1)?,
-            fixed: flags.contains_key("fixed"),
+            case: args.number_or("case", 1)?,
+            fixed: args.has("fixed"),
             seed,
-            top_k: flag_u64(flags, "top-k", 3)?,
+            top_k: args.number_or("top-k", 3)?,
         },
+        // The daemon applies the trigger defaults, and refuses a trigger
+        // parameter sent with a case.
         "emulate" => Request::Emulate {
-            case: flags.get("case").cloned().unwrap_or_default(),
-            period: flag_u64(flags, "period", 20)? as u32,
-            seconds: flag_u64(flags, "seconds", 2)?,
-            nu: flag_f64(flags, "nu", 0.05)?,
+            case: args.value("case").unwrap_or_default().to_string(),
+            period: args.number("period")?,
+            seconds: args.number("seconds")?,
+            nu: args.number("nu")?,
             seed,
         },
         other => return Err(format!("unknown --job `{other}`")),
@@ -197,18 +183,12 @@ struct WirePlan {
 }
 
 impl WirePlan {
-    fn from_flags(addr: &str, flags: &HashMap<String, String>) -> Result<WirePlan, String> {
-        let chaos_seed = match flags.get("chaos") {
-            None => None,
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("--chaos wants a seed, got `{v}`"))?,
-            ),
-        };
-        let chaos_rate = flag_f64(flags, "chaos-rate", 0.25)?;
-        let connect_ms = flag_u64(flags, "connect-timeout-ms", 2_000)?;
-        let read_ms = flag_u64(flags, "read-timeout-ms", 30_000)?;
-        let write_ms = flag_u64(flags, "write-timeout-ms", 10_000)?;
+    fn from_args(addr: &str, args: &Args) -> Result<WirePlan, String> {
+        let chaos_seed = args.number("chaos")?;
+        let chaos_rate = args.number_or("chaos-rate", 0.25)?;
+        let connect_ms = args.number_or("connect-timeout-ms", 2_000)?;
+        let read_ms = args.number_or("read-timeout-ms", 30_000)?;
+        let write_ms = args.number_or("write-timeout-ms", 10_000)?;
         let client = ClientConfig {
             connect_timeout: (connect_ms > 0).then(|| Duration::from_millis(connect_ms)),
             read_timeout: (read_ms > 0).then(|| Duration::from_millis(read_ms)),
@@ -218,9 +198,9 @@ impl WirePlan {
         // not the exception; give the retry loop room by default.
         let default_retries = if chaos_seed.is_some() { 8 } else { 0 };
         let policy = RetryPolicy {
-            max_retries: flag_u64(flags, "retries", default_retries)? as u32,
-            backoff_base_ms: flag_u64(flags, "retry-backoff-ms", 10)?,
-            seed: flag_u64(flags, "seed", 42)?,
+            max_retries: args.number_or("retries", default_retries)?,
+            backoff_base_ms: args.number_or("retry-backoff-ms", 10)?,
+            seed: args.number_or("seed", 42)?,
         };
         let (addr, proxy) = match chaos_seed {
             None => (addr.to_string(), None),
@@ -387,14 +367,14 @@ fn fire(
     (outcome, latency_ms, stats)
 }
 
-fn run_ramp(wire: WirePlan, flags: &HashMap<String, String>) -> Result<(), String> {
+fn run_ramp(wire: WirePlan, args: &Args) -> Result<(), String> {
     let config = BenchConfig {
-        job: flags.get("job").cloned().unwrap_or_else(|| "ping".into()),
-        initial_rps: flag_u64(flags, "initial-rps", 2)?.max(1),
-        increment_rps: flag_u64(flags, "increment-rps", 2)?.max(1),
-        target_rps: flag_u64(flags, "target-rps", 10)?,
-        duration_per_step_s: flag_u64(flags, "duration-per-step", 2)?.max(1),
-        seed: flag_u64(flags, "seed", 42)?,
+        job: args.value("job").unwrap_or("ping").to_string(),
+        initial_rps: args.number_or("initial-rps", 2u64)?.max(1),
+        increment_rps: args.number_or("increment-rps", 2u64)?.max(1),
+        target_rps: args.number_or("target-rps", 10)?,
+        duration_per_step_s: args.number_or("duration-per-step", 2u64)?.max(1),
+        seed: args.number_or("seed", 42)?,
     };
     let mut wire_report = WireReport {
         chaos: wire.chaos_seed.is_some(),
@@ -421,7 +401,7 @@ fn run_ramp(wire: WirePlan, flags: &HashMap<String, String>) -> Result<(), Strin
                 std::thread::sleep(scheduled - now);
             }
             let slot_seed = splitmix64(config.seed.wrapping_add(slot));
-            let request = build_request(flags, slot_seed)?;
+            let request = build_request(args, slot_seed)?;
             slot += 1;
             let addr = wire.addr.clone();
             let client = wire.client;
@@ -514,12 +494,8 @@ fn run_ramp(wire: WirePlan, flags: &HashMap<String, String>) -> Result<(), Strin
     };
     let json =
         serde_json::to_string_pretty(&report).map_err(|e| format!("serializing report: {e}"))?;
-    let out = flags
-        .get("bench-out")
-        .filter(|s| !s.is_empty())
-        .cloned()
-        .unwrap_or_else(|| "BENCH_service.json".into());
-    std::fs::write(&out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;
+    let out = args.value("bench-out").unwrap_or("BENCH_service.json");
+    std::fs::write(out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!("wrote {out} (max sustainable rps: {max_sustainable_rps})");
     Ok(())
 }
@@ -552,14 +528,14 @@ fn classify_failure(error: &ClientError) -> u8 {
     }
 }
 
-fn run_once(wire: &WirePlan, flags: &HashMap<String, String>) -> Result<u8, String> {
-    let request = build_request(flags, flag_u64(flags, "seed", 42)?)?;
+fn run_once(wire: &WirePlan, args: &Args) -> Result<u8, String> {
+    let request = build_request(args, args.number_or("seed", 42)?)?;
     let code = match request_with_retry(wire.addr.as_str(), &request, &wire.client, &wire.policy) {
         Ok((Response::Ok(payload), stats)) => {
             if stats.retries > 0 {
                 eprintln!("succeeded after {} attempt(s)", stats.attempts);
             }
-            match flags.get("out").filter(|s| !s.is_empty()) {
+            match args.value("out") {
                 Some(path) => {
                     std::fs::write(path, &payload).map_err(|e| format!("writing {path}: {e}"))?
                 }
@@ -591,26 +567,18 @@ fn run_once(wire: &WirePlan, flags: &HashMap<String, String>) -> Result<u8, Stri
 }
 
 fn run(args: &[String]) -> Result<u8, String> {
-    let flags = parse_flags(args)?;
-    // A misspelled flag must not silently fall back to its default.
-    if let Some(name) = flags.keys().filter(|name| !known_flag(name)).min() {
-        return Err(format!("unknown flag `--{name}`"));
-    }
-    if flags.contains_key("help") {
+    let args = args::parse(args, VALUES, SWITCHES, 0)?;
+    if args.has("help") {
         println!("{}", usage());
         return Ok(0);
     }
-    let addr = flags
-        .get("addr")
-        .filter(|s| !s.is_empty())
-        .ok_or("missing --addr HOST:PORT")?
-        .clone();
-    let wire = WirePlan::from_flags(&addr, &flags)?;
-    if flags.contains_key("shutdown") {
+    let addr = args.value("addr").ok_or("missing --addr HOST:PORT")?;
+    let wire = WirePlan::from_args(addr, &args)?;
+    if args.has("shutdown") {
         // Shutdown is deliberately outside the retry machinery: it is
         // never safe to replay, and it bypasses any chaos proxy so a
         // soak can always stop its daemon deterministically.
-        let code = match Client::connect_with(addr.as_str(), wire.client) {
+        let code = match Client::connect_with(addr, wire.client) {
             Err(e) => {
                 eprintln!("failure class: connect ({e})");
                 2
@@ -630,12 +598,12 @@ fn run(args: &[String]) -> Result<u8, String> {
         wire.finish();
         return Ok(code);
     }
-    if flags.contains_key("once") {
-        let code = run_once(&wire, &flags);
+    if args.has("once") {
+        let code = run_once(&wire, &args);
         wire.finish();
         code
     } else {
-        run_ramp(wire, &flags).map(|()| 0)
+        run_ramp(wire, &args).map(|()| 0)
     }
 }
 
@@ -648,5 +616,24 @@ fn main() -> ExitCode {
             eprintln!("run with --help for usage");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The parser accepts exactly the flags `usage()` names: every
+    /// `--word` in the text, several per line where a job lists its
+    /// options.
+    #[test]
+    fn declared_flags_are_the_documented_flags() {
+        let documented: BTreeSet<&str> = usage()
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let declared: BTreeSet<&str> = VALUES.iter().chain(SWITCHES).copied().collect();
+        assert_eq!(declared, documented);
     }
 }

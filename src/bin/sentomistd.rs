@@ -5,8 +5,8 @@
 //! mine / lint / hunt jobs until a client sends a `Shutdown` frame.
 //! Exit code 0 is the clean-shutdown contract the CI smoke job asserts.
 
+use sentomist::args;
 use sentomist::service::{Server, ServiceConfig};
-use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -18,6 +18,10 @@ USAGE:
                [--cache-capacity N] [--retries N] [--timeout-ms MS]
                [--mine-threads N] [--read-timeout-ms MS]
                [--write-timeout-ms MS] [--max-connections N]
+    sentomistd --help
+
+Flags may come in any order. An unknown flag, a flag without its value
+or a stray argument is an error.
 
 OPTIONS:
     --host H              listen host (default 127.0.0.1)
@@ -37,6 +41,7 @@ OPTIONS:
     --max-connections N   concurrent-connection cap; accepts beyond it
                           are shed with a typed Overloaded frame.
                           0 disables (default 256)
+    --help                print this text and exit
 
 The daemon prints `listening on HOST:PORT` once ready, then serves
 until a client sends a Shutdown frame (`sentomist_loadgen --shutdown`),
@@ -44,75 +49,44 @@ exiting 0. At shutdown it prints a thread-accounting line to stderr
 (`... 0 leaked`) — the no-thread-leak proof the chaos soak greps."
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument `{arg}`"));
-        };
-        let value = match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => {
-                i += 1;
-                v.clone()
-            }
-            _ => String::new(),
-        };
-        flags.insert(name.to_string(), value);
-        i += 1;
-    }
-    Ok(flags)
-}
-
-/// Whether `--name` is `--help` or one of the flags `usage()` lists
-/// under OPTIONS (the only lines that start with `--`).
-fn known_flag(name: &str) -> bool {
-    name == "help"
-        || usage().lines().any(|line| {
-            let documented = line.trim_start().strip_prefix("--");
-            documented.and_then(|rest| rest.split_whitespace().next()) == Some(name)
-        })
-}
-
-fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got `{v}`")),
-    }
-}
+/// The flags that take a value; `--help` is the one switch.
+const VALUES: &[&str] = &[
+    "host",
+    "port",
+    "workers",
+    "queue-capacity",
+    "cache-capacity",
+    "retries",
+    "timeout-ms",
+    "mine-threads",
+    "read-timeout-ms",
+    "write-timeout-ms",
+    "max-connections",
+];
+const SWITCHES: &[&str] = &["help"];
 
 fn run(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    // A misspelled flag must not silently fall back to its default.
-    if let Some(name) = flags.keys().filter(|name| !known_flag(name)).min() {
-        return Err(format!("unknown flag `--{name}`"));
-    }
-    if flags.contains_key("help") {
+    let args = args::parse(args, VALUES, SWITCHES, 0)?;
+    if args.has("help") {
         println!("{}", usage());
         return Ok(());
     }
-    let host = flags
-        .get("host")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1".into());
-    let port = flag_u64(&flags, "port", 7344)?;
-    let timeout_ms = flag_u64(&flags, "timeout-ms", 0)?;
-    let read_timeout_ms = flag_u64(&flags, "read-timeout-ms", 30_000)?;
-    let write_timeout_ms = flag_u64(&flags, "write-timeout-ms", 10_000)?;
+    let host = args.value("host").unwrap_or("127.0.0.1");
+    let port: u16 = args.number_or("port", 7344)?;
+    let timeout_ms = args.number_or("timeout-ms", 0)?;
+    let read_timeout_ms = args.number_or("read-timeout-ms", 30_000)?;
+    let write_timeout_ms = args.number_or("write-timeout-ms", 10_000)?;
     let config = ServiceConfig {
         addr: format!("{host}:{port}"),
-        workers: flag_u64(&flags, "workers", 2)? as usize,
-        queue_capacity: flag_u64(&flags, "queue-capacity", 64)? as usize,
-        cache_capacity: flag_u64(&flags, "cache-capacity", 16)? as usize,
-        max_retries: flag_u64(&flags, "retries", 0)? as u32,
+        workers: args.number_or("workers", 2)?,
+        queue_capacity: args.number_or("queue-capacity", 64)?,
+        cache_capacity: args.number_or("cache-capacity", 16)?,
+        max_retries: args.number_or("retries", 0)?,
         timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-        mine_threads: flag_u64(&flags, "mine-threads", 1)? as usize,
+        mine_threads: args.number_or("mine-threads", 1)?,
         read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms)),
         write_timeout: (write_timeout_ms > 0).then(|| Duration::from_millis(write_timeout_ms)),
-        max_connections: flag_u64(&flags, "max-connections", 256)? as usize,
+        max_connections: args.number_or("max-connections", 256)?,
     };
     let server = Server::start(config).map_err(|e| e.to_string())?;
     println!("listening on {}", server.local_addr());
@@ -148,5 +122,25 @@ fn main() -> ExitCode {
             eprintln!("{}", usage());
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The parser accepts exactly the flags `usage()` documents: one
+    /// OPTIONS line per flag, each starting with the flag's name.
+    #[test]
+    fn declared_flags_are_the_documented_options() {
+        let (_, options) = usage().split_once("OPTIONS:").expect("an OPTIONS section");
+        let documented: BTreeSet<&str> = options
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix("--"))
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        let declared: BTreeSet<&str> = VALUES.iter().chain(SWITCHES).copied().collect();
+        assert_eq!(declared, documented);
     }
 }

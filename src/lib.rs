@@ -37,6 +37,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
+
 pub use mlcore;
 pub use netsim;
 pub use staticlint;

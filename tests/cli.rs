@@ -357,6 +357,135 @@ fn misspelled_flags_are_rejected_by_every_subcommand() {
     }
 }
 
+/// Every command declares which of its flags take a value and which are
+/// switches. A switch never takes the next word, so a switch placed
+/// first prints the same bytes as one placed last. A value flag without
+/// its value, a stray argument, a number that does not fit its field and
+/// a program given twice are errors, never a silent default, a dropped
+/// word or a truncated number.
+#[test]
+fn declared_flags_never_swallow_drop_or_truncate_arguments() {
+    let dir = workdir("cli-declared-flags");
+    let app = dir.join("app.s");
+    let trace = dir.join("app.trace.json");
+    let corpus = dir.join("corpus");
+    let hunt_out = dir.join("hunt");
+    std::fs::write(&app, APP).unwrap();
+    run_ok(
+        cli()
+            .arg("run")
+            .arg(&app)
+            .args(["--cycles", "2000000", "--seed", "7", "--trace"])
+            .arg(&trace),
+    );
+    run_ok(
+        cli()
+            .args(["campaign", "--seeds", "2", "--seconds", "1", "--store"])
+            .arg(&corpus),
+    );
+    let app = app.to_str().unwrap();
+    let t = trace.to_str().unwrap();
+    let corpus = corpus.to_str().unwrap();
+    let hunt_out = hunt_out.to_str().unwrap();
+
+    for (switch_first, switch_last) in [
+        (vec!["lint", "--json", app], vec!["lint", app, "--json"]),
+        (vec!["slice", "--json", app], vec!["slice", app, "--json"]),
+        (
+            vec!["mine", "--causal", t, "--irq", "2", "--corroborate", app],
+            vec!["mine", t, "--irq", "2", "--corroborate", app, "--causal"],
+        ),
+        (
+            vec!["trace", "mine", "--json", corpus],
+            vec!["trace", "mine", corpus, "--json"],
+        ),
+    ] {
+        let (first, _) = run_ok(cli().args(&switch_first));
+        let (last, _) = run_ok(cli().args(&switch_last));
+        assert_eq!(
+            first,
+            last,
+            "`sentomist {}` and `sentomist {}` disagree",
+            switch_first.join(" "),
+            switch_last.join(" ")
+        );
+    }
+
+    for (args, message) in [
+        (
+            vec![
+                "campaign",
+                "--seeds",
+                "1",
+                "--seconds",
+                "1",
+                "--store",
+                "--json",
+            ],
+            "campaign: --store wants a value".to_string(),
+        ),
+        (vec!["mine", t, "--csv"], "mine: --csv wants a value".into()),
+        (
+            vec!["hunt", "--case", "--iterations", "1", "--out", hunt_out],
+            "hunt: --case wants a value".into(),
+        ),
+        (
+            vec!["campaign", "7", "--seeds", "1", "--seconds", "1"],
+            "campaign: unexpected argument `7`".into(),
+        ),
+        (
+            vec!["hunt", "bogus", "--iterations", "1", "--out", hunt_out],
+            "hunt: unexpected argument `bogus`".into(),
+        ),
+        (
+            vec!["assemble", app, app],
+            format!("assemble: unexpected argument `{app}`"),
+        ),
+        (
+            vec!["lint", app, "--app", "forwarder"],
+            "lint: give <app.s> or --app NAME, not both".into(),
+        ),
+        (
+            vec!["slice", app, "--app", "forwarder"],
+            "slice: give <app.s> or --app NAME, not both".into(),
+        ),
+        (
+            vec!["mine", t, "--irq", "258"],
+            "--irq wants a number, got `258`".into(),
+        ),
+        (
+            vec![
+                "campaign",
+                "--seeds",
+                "1",
+                "--seconds",
+                "1",
+                "--period",
+                "4294967316",
+            ],
+            "--period wants a number, got `4294967316`".into(),
+        ),
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        let invocation = args.join(" ");
+        assert!(
+            !out.status.success(),
+            "`sentomist {invocation}` should exit nonzero"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&message),
+            "`sentomist {invocation}` stderr lacks `{message}`:\n{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "`sentomist {invocation}` printed: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The trigger experiment's flags configure nothing in a case-study
 /// campaign, so `--case` rejects them rather than silently dropping them,
 /// for sweeps and replays alike.

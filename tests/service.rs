@@ -358,16 +358,18 @@ fn lint_and_hunt_jobs_match_cli_output() {
 }
 
 /// Daemon `Emulate` runs the campaign's own job: its reply is the
-/// outcome `campaign --replay` prints for the same mode and seed.
+/// outcome `campaign --replay` prints for the same mode and seed. A
+/// trigger parameter sent with a case is refused, as the CLI refuses
+/// the flag.
 #[test]
 fn emulate_job_matches_cli_replay() {
     let daemon = Daemon::spawn(&[]);
-    for (case, seed) in [("", 1003u64), ("3", 1001)] {
+    for (case, trigger, seed) in [("", Some((20, 2, 0.05)), 1003u64), ("3", None, 1001)] {
         let reply = daemon.ok(&Request::Emulate {
             case: case.into(),
-            period: 20,
-            seconds: 2,
-            nu: 0.05,
+            period: trigger.map(|(period, _, _)| period),
+            seconds: trigger.map(|(_, seconds, _)| seconds),
+            nu: trigger.map(|(_, _, nu)| nu),
             seed,
         });
         let reply: Value =
@@ -392,6 +394,21 @@ fn emulate_job_matches_cli_replay() {
             Some(&reply),
             "case {case:?} seed {seed}: daemon Emulate diverged from the CLI replay"
         );
+    }
+    match daemon.request(&Request::Emulate {
+        case: "3".into(),
+        period: Some(50),
+        seconds: None,
+        nu: None,
+        seed: 1001,
+    }) {
+        Response::Error(message) => assert!(
+            message.contains(
+                "--period configures the trigger experiment and cannot be combined with --case"
+            ),
+            "{message}"
+        ),
+        other => panic!("a case with a period answered {other:?}"),
     }
     daemon.shutdown_clean();
 }

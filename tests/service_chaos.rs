@@ -489,6 +489,27 @@ fn loadgen_exit_codes_are_documented_contracts() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("failure class: error-response"));
 
+    // 1 too: a trigger parameter beside a case configures nothing, so
+    // the daemon refuses the request rather than dropping the parameter.
+    let out = loadgen(&[
+        "--addr",
+        &daemon.addr,
+        "--once",
+        "--job",
+        "emulate",
+        "--case",
+        "3",
+        "--period",
+        "50",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "emulate --case --period: {out:?}"
+    );
+    assert!(String::from_utf8_lossy(&out.stderr)
+        .contains("--period configures the trigger experiment and cannot be combined with --case"));
+
     // 2: connection refused — bind a port, free it, dial it.
     let refused_addr = {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -519,6 +540,28 @@ fn loadgen_exit_codes_are_documented_contracts() {
     ]);
     assert_eq!(out.status.code(), Some(1), "misspelled flag: {out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--conect-timeout-ms`"));
+
+    // 1 as well, before dialing: a value flag without its value, a
+    // number too wide for its field and a stray argument.
+    for (extra, message) in [
+        (&["--out"][..], "--out wants a value"),
+        (
+            &["--retries", "4294967296"][..],
+            "--retries wants a number, got `4294967296`",
+        ),
+        (&["5"][..], "unexpected argument `5`"),
+    ] {
+        let mut args = vec!["--addr", refused_addr.as_str(), "--once"];
+        args.extend_from_slice(extra);
+        let out = loadgen(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("failure class"),
+            "{args:?} dialed: {stderr}"
+        );
+    }
 
     // 4: a wire/protocol failure — a server speaking garbage.
     let garbage_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
